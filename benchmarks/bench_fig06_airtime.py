@@ -12,7 +12,7 @@ from statistics import mean
 
 import pytest
 
-from benchmarks._workloads import run_sift_on_iperf
+from repro.sift.workloads import run_sift_on_iperf
 
 RATES_MBPS = (0.25, 0.5, 1.0)
 WIDTHS = (5.0, 10.0, 20.0)

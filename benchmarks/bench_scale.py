@@ -2,9 +2,9 @@
 
 Unlike the figure benchmarks, this one measures the *simulator itself*:
 how many client-ticks per second the roaming engine sustains as the
-fleet grows.  The scalar per-client loop anchors the comparison at the
-smallest size (where it is still affordable) and the columnar vector
-engine (:mod:`repro.wsdb.vector`) carries the sweep up to a million
+fleet grows.  The per-client reference fleet (``engine="scalar"``)
+anchors the comparison at the smallest size (where it is still
+affordable) and the columnar vector engine (:mod:`repro.wsdb.vector`) carries the sweep up to a million
 clients, with each run on a fresh database so engines and sizes never
 share cache state.
 

@@ -93,9 +93,11 @@ def main() -> None:
         "need area responses"
     )
 
-    # 5. The same session on both engines: the columnar vector engine
-    #    (repro.wsdb.vector) batches the whole fleet's tick into numpy
-    #    array passes and reproduces the scalar report bit for bit.
+    # 5. The same session on both engines: one driver steps either the
+    #    per-client reference fleet or the columnar vector fleet
+    #    (repro.wsdb.vector), which batches the whole fleet's tick into
+    #    numpy array passes and reproduces the reference report bit for
+    #    bit.
     print("\nscalar vs vector engine (same seed, fresh databases):")
     reports = {}
     for engine in ("scalar", "vector"):

@@ -27,6 +27,7 @@ edits anywhere.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 from repro import constants
@@ -214,15 +215,28 @@ def _citywide_extent_m(spec: ExperimentSpec) -> float | None:
     return spec.citywide_extent_km * 1_000.0
 
 
+def _finite_positive(value: float | None, allow_zero: bool = False) -> bool:
+    """True for None, or a finite value > 0 (>= 0 with *allow_zero*)."""
+    return value is None or (
+        math.isfinite(value) and (value > 0 or (allow_zero and value == 0))
+    )
+
+
 def _validate_roaming_clients(spec: ExperimentSpec) -> None:
-    """Validate the mobile-population knobs roaming and querystorm share."""
-    if spec.roaming_speed_mps is not None and spec.roaming_speed_mps <= 0:
+    """Validate the mobile-population knobs roaming and querystorm share.
+
+    Non-finite values fail here, at spec build, rather than hanging or
+    silently skewing a run inside a ``ParallelRunner`` worker.
+    """
+    if not _finite_positive(spec.roaming_speed_mps):
         raise SimulationError(
-            f"roaming_speed_mps must be > 0, got {spec.roaming_speed_mps!r}"
+            "roaming_speed_mps must be finite and > 0, "
+            f"got {spec.roaming_speed_mps!r}"
         )
-    if spec.roaming_recheck_m is not None and spec.roaming_recheck_m <= 0:
+    if not _finite_positive(spec.roaming_recheck_m):
         raise SimulationError(
-            f"roaming_recheck_m must be > 0, got {spec.roaming_recheck_m!r}"
+            "roaming_recheck_m must be finite and > 0, "
+            f"got {spec.roaming_recheck_m!r}"
         )
 
 
@@ -718,14 +732,15 @@ class QuerystormKind(RunKind):
                 f"kind {spec.kind!r} requires storm_shards >= 1, "
                 f"got {spec.storm_shards!r}"
             )
-        if spec.storm_offered_qps is not None and spec.storm_offered_qps < 0:
+        if not _finite_positive(spec.storm_offered_qps, allow_zero=True):
             raise SimulationError(
-                f"storm_offered_qps must be >= 0, got {spec.storm_offered_qps!r}"
+                "storm_offered_qps must be finite and >= 0, "
+                f"got {spec.storm_offered_qps!r}"
             )
-        if spec.storm_rate_limit_qps is not None and spec.storm_rate_limit_qps <= 0:
+        if not _finite_positive(spec.storm_rate_limit_qps):
             raise SimulationError(
-                "storm_rate_limit_qps must be > 0 (or None for unlimited), "
-                f"got {spec.storm_rate_limit_qps!r}"
+                "storm_rate_limit_qps must be finite and > 0 (or None for "
+                f"unlimited), got {spec.storm_rate_limit_qps!r}"
             )
         if (
             spec.storm_shed_policy is not None

@@ -10,9 +10,8 @@ move), which is what occasionally drops the 5 MHz ramp below SIFT's
 threshold and produces the paper's slightly-lower 5 MHz detection
 rates.
 
-This used to live under ``benchmarks/``; it moved into the library so
-the ``"sift"`` run kind (``repro.experiments``) can sweep detection
-accuracy declaratively — ``benchmarks/_workloads.py`` re-exports it.
+It lives in the library so the ``"sift"`` run kind
+(``repro.experiments``) can sweep detection accuracy declaratively.
 """
 
 from __future__ import annotations

@@ -21,12 +21,12 @@ missing layer as a deterministic, seedable simulation component:
 * :mod:`repro.wsdb.mobility` — the mobile-client workload behind the
   ``roaming`` run kind: seeded waypoint paths, the FCC 100 m re-check
   rule (re-query on cell crossing or TTL expiry), nearest-AP
-  association with handoffs, and mic-zone channel vacation.
-* :mod:`repro.wsdb.vector` — the columnar numpy twin of the mobility
-  engine (``engine="vector"`` on the roaming/querystorm kinds):
-  whole-fleet array ops per tick, bit-identical reports, scales to
-  millions of clients.  Imported lazily so the scalar paths never
-  require numpy.
+  association with handoffs, and mic-zone channel vacation, plus the
+  per-client reference fleet (``engine="scalar"``).
+* :mod:`repro.wsdb.vector` — the one tick-loop driver per mobile kind
+  (roaming, querystorm) and the columnar numpy fleet
+  (``engine="vector"``): whole-fleet array ops per tick, bit-identical
+  reports, scales to millions of clients.
 * :mod:`repro.wsdb.cluster` — the service tier: ``ShardRouter`` (K
   cell-aligned shards, each its own database), ``BatchFrontend``
   (per-shard batching, token-bucket admission, pluggable shed

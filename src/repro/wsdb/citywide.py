@@ -237,22 +237,19 @@ def boot_aps(
 
 def snapshot_assigned_aps(
     aps: list[CityAp],
-) -> tuple[
-    list[tuple[CityAp, frozenset[int]]], dict[int, frozenset[int]]
-]:
-    """(live list, spans by ap_id) of the APs currently holding a channel.
+) -> list[tuple[CityAp, frozenset[int]]]:
+    """(AP, spanned UHF indices) of every AP currently holding a channel.
 
     AP channels only change on mic events, so the mobility drivers
     snapshot once and rebuild only after an event fires; both the
     roaming and querystorm tick loops compare association candidates
     against exactly this view.
     """
-    live = [
+    return [
         (ap, frozenset(ap.channel.spanned_indices))
         for ap in aps
         if ap.channel is not None
     ]
-    return live, {ap.ap_id: spans for ap, spans in live}
 
 
 def displace_covered_aps(

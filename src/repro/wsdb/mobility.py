@@ -2,9 +2,9 @@
 
 The FCC regime the wsdb models is built around *portable* devices: a
 white space device that moves must re-query the database after
-traveling ~100 m (and periodically even when parked).  This driver
-models that workload — the one a per-coordinate response cache serves
-worst and the cell-granular protocol
+traveling ~100 m (and periodically even when parked).  The ``roaming``
+workload models exactly that — the one a per-coordinate response cache
+serves worst and the cell-granular protocol
 (:meth:`~repro.wsdb.service.WhiteSpaceDatabase.channels_in_cell`) was
 built for:
 
@@ -30,6 +30,17 @@ built for:
   quality of the re-check rule itself — the staleness the pull model
   admits.
 
+This module holds the per-client model: the :class:`RoamingClient`
+record, the reference kinematics / association / compliance functions,
+:class:`ScalarFleet` (the fleet stages as plain per-client loops over
+them), and the :func:`simulate_roaming` entry point.  The tick loop
+itself lives in :mod:`repro.wsdb.vector`, written once against the
+fleet stages; ``engine`` only picks the fleet class.  Because
+:class:`ScalarFleet` computes per client what the columnar
+:class:`~repro.wsdb.vector.VectorFleet` computes in array passes,
+running both through the one driver checks the vector engine against
+an independent oracle.
+
 Everything derives from the master seed through labelled
 :func:`~repro.sim.rng.stream_seed` streams, so a run is byte-identical
 in any process — the contract the ``roaming`` run kind and
@@ -43,36 +54,30 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.sim.rng import stream_seed
-from repro.telemetry.metrics import NULL_TELEMETRY
-from repro.telemetry.spans import NULL_SPANS, lookup_steps
-from repro.traces.record import NULL_RECORDER
-from repro.wsdb.citywide import (
-    DEFAULT_INTERFERENCE_RADIUS_M,
-    CityAp,
-    MicEvent,
-    boot_aps,
-    displace_covered_aps,
-    generate_mic_events,
-    snapshot_assigned_aps,
-)
-from repro.wsdb.service import WhiteSpaceDatabase, quantize_cell, ttl_bucket
+from repro.telemetry.profiler import NULL_PROFILER
+from repro.wsdb.citywide import DEFAULT_INTERFERENCE_RADIUS_M, CityAp
+from repro.wsdb.service import WhiteSpaceDatabase, quantize_cell
 
 __all__ = [
     "RoamingClient",
+    "ScalarFleet",
     "advance_client",
     "advance_position",
     "associate_nearest",
+    "check_fleet_inputs",
     "in_violation",
     "simulate_roaming",
     "spawn_clients",
 ]
 
-#: The mobile-engine implementations the roaming and querystorm
-#: drivers dispatch between.  "scalar" is the reference per-client
-#: loop below; "vector" is the columnar numpy engine
-#: (:mod:`repro.wsdb.vector`), bit-identical to it by construction.
+#: The mobile engines a roaming or querystorm run can select.
+#: "scalar" is :class:`ScalarFleet`, the per-client reference; "vector"
+#: is the columnar numpy :class:`~repro.wsdb.vector.VectorFleet`,
+#: bit-identical to it by construction.
 ENGINES = ("scalar", "vector")
 
 #: Default client speed (meters/second): ~50 km/h, a metro vehicle.
@@ -173,9 +178,9 @@ def advance_client(
 ) -> None:
     """Move *client* along its waypoint path by *distance_m* meters.
 
-    Public driver plumbing: the roaming and querystorm drivers both
-    step their fleets through this, so path kinematics stay identical
-    across kinds by construction.
+    :class:`ScalarFleet` steps every client of either kind through
+    this, so path kinematics stay identical across kinds by
+    construction.
     """
     wx, wy = client.waypoint
     client.x_m, client.y_m, wx, wy = advance_position(
@@ -225,6 +230,182 @@ def in_violation(
     return any(i in truth for i in spanned)
 
 
+class ScalarFleet:
+    """The per-client reference fleet: one :class:`RoamingClient` each.
+
+    The tick stages of :class:`~repro.wsdb.vector.VectorFleet`, with
+    the same signatures and result shapes, written as plain loops over
+    the reference functions (:func:`advance_client`,
+    :func:`~repro.wsdb.service.quantize_cell`, :func:`associate_nearest`,
+    :func:`in_violation`).  None of these loops shares code with the
+    columnar engine's array passes, so the scalar/vector parity tests
+    hold that engine's floats and tie-breaks to an independent oracle.
+    """
+
+    def __init__(self, clients: list[RoamingClient], extent_m: float):
+        self.clients = clients
+        self.n = len(clients)
+        self.extent_m = extent_m
+        self.requeries = np.zeros(self.n, dtype=np.int64)
+        self.handoffs = np.zeros(self.n, dtype=np.int64)
+        self.vacations = np.zeros(self.n, dtype=np.int64)
+        self.connected = np.zeros(self.n, dtype=np.int64)
+        self.violations = np.zeros(self.n, dtype=np.int64)
+        self.disconnected_ticks = 0
+        self._live_aps: list[tuple[CityAp, frozenset[int]]] = []
+        self._spans_by_id: dict[int, frozenset[int]] = {}
+        self._col_of: dict[int, int] = {}
+
+    def set_snapshot(
+        self, live_aps: list[tuple[CityAp, frozenset[int]]], num_aps: int
+    ) -> None:
+        """Adopt one ``snapshot_assigned_aps`` live list."""
+        self._live_aps = live_aps
+        self._spans_by_id = {ap.ap_id: spans for ap, spans in live_aps}
+        self._col_of = {ap.ap_id: col for col, (ap, _) in enumerate(live_aps)}
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every client's (x, y), as the vector engine's columns."""
+        xy = [(c.x_m, c.y_m) for c in self.clients]
+        return np.array(xy, dtype=np.float64).reshape(self.n, 2).T
+
+    def advance(self, step_m: float) -> None:
+        for client in self.clients:
+            advance_client(client, step_m, self.extent_m)
+
+    def cells(self, resolution_m: float) -> tuple[np.ndarray, np.ndarray]:
+        cells = [
+            quantize_cell(c.x_m, c.y_m, resolution_m) for c in self.clients
+        ]
+        return np.array(cells, dtype=np.int64).reshape(self.n, 2).T
+
+    def recheck_due(
+        self, trig_x: np.ndarray, trig_y: np.ndarray, bucket: int
+    ) -> np.ndarray:
+        """Client indices due a re-check (crossed a square or TTL edge)."""
+        cells = zip(trig_x.tolist(), trig_y.tolist())
+        return np.array(
+            [
+                i
+                for i, (client, cell) in enumerate(zip(self.clients, cells))
+                if cell != client.last_cell or bucket != client.last_bucket
+            ],
+            dtype=np.int64,
+        )
+
+    def commit_recheck(
+        self,
+        idx: np.ndarray,
+        trig_x: np.ndarray,
+        trig_y: np.ndarray,
+        bucket: int,
+        responses: list[tuple[int, ...]],
+    ) -> None:
+        """Adopt fresh responses for the re-checked clients *idx*."""
+        for i, response in zip(idx.tolist(), responses):
+            client = self.clients[i]
+            client.known_free = frozenset(response)
+            client.last_cell = (int(trig_x[i]), int(trig_y[i]))
+            client.last_bucket = bucket
+            self.requeries[i] += 1
+
+    def associate_and_score(
+        self, metro, t_us: float, profiler: Any = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One tick of vacation, association, handoff, and compliance.
+
+        Returns ``(connected, new_ap, best_col, handoff_mask,
+        violating)``, the vector engine's outcome arrays; counters are
+        already applied.
+        """
+        prof = NULL_PROFILER if profiler is None else profiler
+        connected = np.zeros(self.n, dtype=bool)
+        new_ap = np.full(self.n, -1, dtype=np.int64)
+        best_col = np.full(self.n, -1, dtype=np.int64)
+        handoff_mask = np.zeros(self.n, dtype=bool)
+        violating = np.zeros(self.n, dtype=bool)
+        with prof.phase("associate"):
+            for i, client in enumerate(self.clients):
+                # A previously-associated AP whose channel the response
+                # now denies forces a channel vacation.
+                prev = client.ap
+                prev_spans = (
+                    self._spans_by_id.get(prev.ap_id)
+                    if prev is not None
+                    else None
+                )
+                if prev_spans is not None and not prev_spans <= client.known_free:
+                    self.vacations[i] += 1
+                client.ap = associate_nearest(
+                    client.x_m, client.y_m, client.known_free, self._live_aps
+                )
+                if client.ap is None:
+                    self.disconnected_ticks += 1
+                    continue
+                if prev is not None and client.ap.ap_id != prev.ap_id:
+                    self.handoffs[i] += 1
+                    handoff_mask[i] = True
+                self.connected[i] += 1
+                connected[i] = True
+                new_ap[i] = client.ap.ap_id
+                best_col[i] = self._col_of[client.ap.ap_id]
+        with prof.phase("compliance"):
+            for i in np.flatnonzero(connected).tolist():
+                client = self.clients[i]
+                if in_violation(
+                    metro,
+                    client.x_m,
+                    client.y_m,
+                    t_us,
+                    client.ap.channel.spanned_indices,
+                ):
+                    self.violations[i] += 1
+                    violating[i] = True
+        return connected, new_ap, best_col, handoff_mask, violating
+
+
+def check_fleet_inputs(
+    kind: str,
+    engine: str,
+    num_clients: int,
+    min_clients: int,
+    duration_us: float,
+    tick_us: float,
+    speed_mps: float,
+    recheck_m: float,
+    offered_qps: float = 0.0,
+) -> None:
+    """Reject a roaming or querystorm run's inputs before any world build.
+
+    Non-finite values fail with the out-of-range ones: an infinite step
+    never finishes its waypoint walk, a NaN position or cell edge
+    fails every comparison silently, and an infinite duration or load
+    has no tick or request count.
+    """
+    if num_clients < min_clients:
+        raise SimulationError(
+            f"{kind} needs >= {min_clients} clients, got {num_clients!r}"
+        )
+    for name, value in (
+        ("duration_us", duration_us),
+        ("tick_us", tick_us),
+        ("speed_mps", speed_mps),
+        ("recheck_m", recheck_m),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise SimulationError(
+                f"{kind} {name} must be finite and > 0, got {value!r}"
+            )
+    if not (math.isfinite(offered_qps) and offered_qps >= 0):
+        raise SimulationError(
+            f"{kind} offered_qps must be finite and >= 0, got {offered_qps!r}"
+        )
+    if engine not in ENGINES:
+        raise SimulationError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+
+
 def simulate_roaming(
     db: WhiteSpaceDatabase,
     num_aps: int,
@@ -262,11 +443,11 @@ def simulate_roaming(
         tick_us: simulation step; movement, re-checks, association,
             and compliance are evaluated per tick.
         interference_radius_m: AP mutual-interference radius.
-        engine: "scalar" (the reference per-client loop here) or
-            "vector" (the columnar numpy engine,
-            :mod:`repro.wsdb.vector`).  Both produce bit-identical
-            reports; "vector" is the one that scales to millions of
-            clients.
+        engine: "scalar" (:class:`ScalarFleet`, the per-client
+            reference) or "vector" (the columnar numpy
+            :class:`~repro.wsdb.vector.VectorFleet`).  Both run the
+            same driver and produce bit-identical reports; "vector" is
+            the one that scales to millions of clients.
         recorder: a :class:`~repro.traces.record.TraceRecorder` to
             stream dense run events into (None: the zero-overhead null
             recorder).  Recording observes only — reports are
@@ -282,10 +463,9 @@ def simulate_roaming(
             byte-identical to a pre-telemetry run.
         profiler: a wall-clock
             :class:`~repro.telemetry.profiler.PhaseProfiler` (None: the
-            no-op profiler).  Phase instrumentation lives in the vector
-            engine's batched tick stages; the scalar reference loop
-            accepts the argument for signature parity but does not
-            profile.  Never affects the report.
+            no-op profiler) timing the tick stages (advance /
+            recheck-detect / batch-lookup / associate / compliance) on
+            either engine.  Never affects the report.
         spans: a sim-clock
             :class:`~repro.telemetry.spans.SpanRecorder` (None: the
             zero-overhead null recorder).  When attached, every client
@@ -295,332 +475,29 @@ def simulate_roaming(
             byte-identical span sets; with None the report is
             byte-identical to a spans-free run.
     """
-    if num_clients < 1:
-        raise SimulationError(
-            f"roaming needs >= 1 client, got {num_clients!r}"
-        )
-    if duration_us <= 0:
-        raise SimulationError(
-            f"roaming duration must be > 0, got {duration_us!r}"
-        )
-    if speed_mps <= 0:
-        raise SimulationError(f"speed must be > 0, got {speed_mps!r}")
-    if tick_us <= 0:
-        raise SimulationError(f"tick must be > 0, got {tick_us!r}")
     if recheck_m is None:
         recheck_m = db.cache_resolution_m
-    if recheck_m <= 0:
-        raise SimulationError(f"recheck_m must be > 0, got {recheck_m!r}")
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    if engine == "vector":
-        # Imported lazily: the scalar path must not require numpy.
-        from repro.wsdb.vector import simulate_roaming_vector
-
-        return simulate_roaming_vector(
-            db,
-            num_aps=num_aps,
-            num_clients=num_clients,
-            duration_us=duration_us,
-            seed=seed,
-            speed_mps=speed_mps,
-            recheck_m=recheck_m,
-            mic_events=mic_events,
-            tick_us=tick_us,
-            interference_radius_m=interference_radius_m,
-            recorder=recorder,
-            telemetry=telemetry,
-            profiler=profiler,
-            spans=spans,
-        )
-
-    if recorder is None:
-        recorder = NULL_RECORDER
-    recording = recorder.enabled
-    tel = NULL_TELEMETRY if telemetry is None else telemetry
-    tel_on = tel.enabled
-    sp = NULL_SPANS if spans is None else spans
-    sp_on = sp.enabled
-    extent_m = db.metro.extent_m
-    aps = boot_aps(db, num_aps, seed, "roaming-aps", interference_radius_m)
-    clients = spawn_clients(num_clients, seed, "roaming-client", extent_m)
-
-    events = generate_mic_events(
-        mic_events,
-        duration_us,
-        extent_m,
-        db.metro.num_channels,
-        stream_seed(seed, "roaming-mics"),
+    check_fleet_inputs(
+        "roaming", engine, num_clients, 1, duration_us, tick_us, speed_mps,
+        recheck_m,
     )
-    next_event = 0
-    displaced = backup_recoveries = full_reassignments = outages = 0
+    # The driver module imports this one, so it is reached at call time.
+    from repro.wsdb.vector import FLEETS, drive_roaming
 
-    requeries = [0] * num_clients
-    handoffs = [0] * num_clients
-    vacations = [0] * num_clients
-    connected = [0] * num_clients
-    violations = [0] * num_clients
-    disconnected_ticks = 0
-    total_requeries = 0
-    total_handoffs = 0
-
-    def register_event(event: MicEvent, index: int) -> None:
-        nonlocal displaced, backup_recoveries, full_reassignments, outages
-        registration = event.registration()
-        invalidated = db.register_mic(registration)
-        if sp_on:
-            sp.record_tree(
-                "mic_register",
-                "mic",
-                index,
-                event.t_us,
-                "db",
-                [("invalidate", "db", {"entries": int(invalidated)}, ())],
-            )
-        if recording:
-            recorder.emit(
-                "mic",
-                event.t_us,
-                subject=index,
-                cell=quantize_cell(
-                    event.x_m, event.y_m, db.cache_resolution_m
-                ),
-                channels=(event.uhf_index,),
-                x=event.x_m,
-                y=event.y_m,
-                aux=event.uhf_index,
-            )
-        d, b, r, o = displace_covered_aps(
-            db, aps, event, registration, interference_radius_m
-        )
-        displaced += d
-        backup_recoveries += b
-        full_reassignments += r
-        outages += o
-
-    live_aps, spans_by_id = snapshot_assigned_aps(aps)
-
-    step_m = speed_mps * tick_us / 1e6
-    ticks = int(duration_us // tick_us)
-    viol_open = [False] * num_clients
-    for k in range(ticks + 1):
-        t_us = k * tick_us
-        tick_violating = 0
-        # Registrations whose session starts by this tick go live:
-        # cached responses inside the zone are invalidated and covered
-        # APs walk their backups, exactly as in the citywide driver.
-        fired = False
-        while next_event < len(events) and events[next_event].t_us <= t_us:
-            register_event(events[next_event], next_event)
-            next_event += 1
-            fired = True
-        if fired:
-            live_aps, spans_by_id = snapshot_assigned_aps(aps)
-
-        for client in clients:
-            if k > 0:
-                advance_client(client, step_m, extent_m)
-            # The re-check rule: query only on crossing a
-            # quantization-square boundary or on TTL expiry — never
-            # merely because time passed within a valid response.
-            cell = quantize_cell(client.x_m, client.y_m, recheck_m)
-            bucket = ttl_bucket(t_us, db.ttl_us)
-            if cell != client.last_cell or bucket != client.last_bucket:
-                response = db.channels_at(client.x_m, client.y_m, t_us)
-                if sp_on:
-                    hit, scanned = db.last_outcomes[0]
-                    sp.record_tree(
-                        "request",
-                        "roam",
-                        client.client_id,
-                        t_us,
-                        "db",
-                        [lookup_steps(hit, scanned, "db")],
-                    )
-                client.known_free = frozenset(response)
-                client.last_cell = cell
-                client.last_bucket = bucket
-                requeries[client.client_id] += 1
-                total_requeries += 1
-                if recording:
-                    recorder.emit(
-                        "recheck",
-                        t_us,
-                        subject=client.client_id,
-                        cell=quantize_cell(
-                            client.x_m, client.y_m, db.cache_resolution_m
-                        ),
-                        channels=response,
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=1,
-                    )
-
-            # Association: nearest assigned AP whose channel the
-            # client's response permits here.  A previously-associated
-            # AP whose channel the response now denies forces a
-            # channel vacation (the path entered a protection zone).
-            prev = client.ap
-            prev_spans = (
-                spans_by_id.get(prev.ap_id) if prev is not None else None
-            )
-            if prev_spans is not None and not prev_spans <= client.known_free:
-                vacations[client.client_id] += 1
-            client.ap = associate_nearest(
-                client.x_m, client.y_m, client.known_free, live_aps
-            )
-            if client.ap is None:
-                disconnected_ticks += 1
-                if recording and viol_open[client.client_id]:
-                    recorder.emit(
-                        "violation_close",
-                        t_us,
-                        subject=client.client_id,
-                        cell=cell,
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=0,
-                    )
-                    viol_open[client.client_id] = False
-                continue
-            if prev is not None and client.ap.ap_id != prev.ap_id:
-                handoffs[client.client_id] += 1
-                total_handoffs += 1
-                if recording:
-                    recorder.emit(
-                        "handoff",
-                        t_us,
-                        subject=client.client_id,
-                        cell=cell,
-                        channels=tuple(
-                            sorted(client.ap.channel.spanned_indices)
-                        ),
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=client.ap.ap_id,
-                    )
-            connected[client.client_id] += 1
-            # A violation means the client transmitted on a protected
-            # channel between re-checks.
-            violating = in_violation(
-                db.metro,
-                client.x_m,
-                client.y_m,
-                t_us,
-                client.ap.channel.spanned_indices,
-            )
-            if violating:
-                violations[client.client_id] += 1
-                tick_violating += 1
-            if recording:
-                if violating and not viol_open[client.client_id]:
-                    recorder.emit(
-                        "violation_open",
-                        t_us,
-                        subject=client.client_id,
-                        cell=cell,
-                        channels=tuple(
-                            sorted(client.ap.channel.spanned_indices)
-                        ),
-                        x=client.x_m,
-                        y=client.y_m,
-                    )
-                    viol_open[client.client_id] = True
-                elif not violating and viol_open[client.client_id]:
-                    recorder.emit(
-                        "violation_close",
-                        t_us,
-                        subject=client.client_id,
-                        cell=cell,
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=0,
-                    )
-                    viol_open[client.client_id] = False
-
-        if tel_on:
-            tel.sample_tick(
-                t_us,
-                queries=db.stats.queries,
-                cache_hits=db.stats.cache_hits,
-                requeries=total_requeries,
-                handoffs=total_handoffs,
-                violating=tick_violating,
-            )
-
-    if recording:
-        # Still-open violation windows close at the end of the run,
-        # marked aux=1 so analyses can tell truncation from recovery.
-        end_us = ticks * tick_us
-        for client in clients:
-            if viol_open[client.client_id]:
-                recorder.emit(
-                    "violation_close",
-                    end_us,
-                    subject=client.client_id,
-                    cell=quantize_cell(client.x_m, client.y_m, recheck_m),
-                    x=client.x_m,
-                    y=client.y_m,
-                    aux=1,
-                )
-
-    # When duration_us is not a tick multiple, events can start after
-    # the last evaluated tick; register them anyway so the database,
-    # the displacement accounting, and the reported event count agree
-    # with simulate_citywide's process-every-event semantics.
-    while next_event < len(events):
-        register_event(events[next_event], next_event)
-        next_event += 1
-
-    connected_ticks = sum(connected)
-    violation_ticks = sum(violations)
-    client_ticks = num_clients * (ticks + 1)
-    if tel_on:
-        db.publish_metrics(tel)
-        tel.counter("requeries").inc(total_requeries)
-        tel.counter("handoffs").inc(total_handoffs)
-        tel.counter("vacations").inc(sum(vacations))
-        tel.counter("violation_ticks").inc(violation_ticks)
-        tel.counter("connected_ticks").inc(connected_ticks)
-        tel.counter("disconnected_ticks").inc(disconnected_ticks)
-    report = {
-        "num_aps": num_aps,
-        "num_clients": num_clients,
-        "duration_us": duration_us,
-        "tick_us": tick_us,
-        "speed_mps": speed_mps,
-        "recheck_m": recheck_m,
-        "extent_m": extent_m,
-        "assigned_aps": sum(1 for ap in aps if ap.channel is not None),
-        "requeries": sum(requeries),
-        "requeries_per_client": sum(requeries) / num_clients,
-        "handoffs": sum(handoffs),
-        "vacations": sum(vacations),
-        "connected_ticks": connected_ticks,
-        "disconnected_ticks": disconnected_ticks,
-        "connected_fraction": connected_ticks / client_ticks,
-        "violation_ticks": violation_ticks,
-        "violation_free_fraction": (
-            1.0 - violation_ticks / connected_ticks if connected_ticks else 1.0
-        ),
-        "mic_events": len(events),
-        "displaced_aps": displaced,
-        "backup_recoveries": backup_recoveries,
-        "full_reassignments": full_reassignments,
-        "outages": outages,
-        "per_client": tuple(
-            (i, requeries[i], handoffs[i], vacations[i], connected[i])
-            for i in range(num_clients)
-        ),
-        "final_cells": tuple(
-            quantize_cell(c.x_m, c.y_m, recheck_m) for c in clients
-        ),
-        "db": db.stats.as_dict(),
-    }
-    if tel_on:
-        report["telemetry"] = tel.snapshot()
-    if sp_on:
-        report["spans"] = sp.snapshot()
-    return report
+    return drive_roaming(
+        db,
+        FLEETS[engine],
+        num_aps=num_aps,
+        num_clients=num_clients,
+        duration_us=duration_us,
+        seed=seed,
+        speed_mps=speed_mps,
+        recheck_m=recheck_m,
+        mic_events=mic_events,
+        tick_us=tick_us,
+        interference_radius_m=interference_radius_m,
+        recorder=recorder,
+        telemetry=telemetry,
+        profiler=profiler,
+        spans=spans,
+    )

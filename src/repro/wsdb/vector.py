@@ -1,12 +1,22 @@
-"""The columnar mobile-client engine: million-client fleets on numpy.
+"""The mobile tick loops, and the columnar fleet that scales them.
 
-The scalar drivers (:func:`~repro.wsdb.mobility.simulate_roaming`,
-:func:`~repro.wsdb.cluster.querystorm.simulate_querystorm`) walk a
-Python object per client per tick — perfectly clear, and capped around
-10^3 clients.  This module holds the whole fleet in columns instead
-(positions, waypoints, cached-response ids, trigger cells, TTL buckets,
-assigned APs, per-client counters — one numpy array each) and batches
-the per-tick hot path as array ops:
+Each mobile run kind has one driver here, written against the fleet
+stages (``set_snapshot``, ``advance``, ``cells``, ``recheck_due``,
+``commit_recheck``, ``associate_and_score``):
+:func:`drive_roaming` behind
+:func:`~repro.wsdb.mobility.simulate_roaming` and
+:func:`drive_querystorm` behind
+:func:`~repro.wsdb.cluster.querystorm.simulate_querystorm`.  World
+build, mic registration and AP displacement, the storm feed, push
+subscriptions, deferral, the recorder / telemetry / span / profiler
+hooks and report assembly are written once; ``engine`` only picks the
+fleet class (:data:`FLEETS`).
+
+:class:`VectorFleet` holds the whole fleet in columns (positions,
+waypoints, cached-response ids, trigger cells, TTL buckets, assigned
+APs, per-client counters — one numpy array each) and batches each
+stage as array ops; :class:`~repro.wsdb.mobility.ScalarFleet` is the
+per-client reference it is checked against:
 
 * **Waypoint advance** — the common case (the tick ends before the
   current leg does) is one fused array expression; the rare
@@ -21,8 +31,8 @@ the per-tick hot path as array ops:
   :meth:`~repro.wsdb.service.WhiteSpaceDatabase.channels_in_cells`; the
   (cell, TTL-bucket) response cache is the memoization, so N clients in
   one cell cost one computed response, and the database sees the exact
-  query sequence the scalar loop would send (cache stats match to the
-  eviction).
+  query sequence per-client lookups would send (cache stats match to
+  the eviction).
 * **Response interning** — distinct response tuples intern to small
   ids; eligibility (``ap_spans <= response``) is a (responses x APs)
   bool table rebuilt only when the AP snapshot changes, and a tick's
@@ -38,20 +48,19 @@ the per-tick hot path as array ops:
 
 **The bit-identity contract.**  Every float the hot path produces goes
 through +, -, *, /, sqrt, and floor only — all correctly-rounded
-IEEE-754 operations — in the same operand order as the scalar engine,
-so positions, distances, and cell ids are bit-identical, not merely
-close.  Everything order-sensitive on the service side (LRU cache,
-token-bucket admission, push subscribe/notify) is driven in the scalar
-engine's exact call order.  The reports returned here compare equal
-(``==``) to the scalar engine's, field for field, including the nested
-db/frontend/push stats — the property ``tests/wsdb/test_vector.py``
-sweeps seeds x fleet sizes x speeds to pin.
+IEEE-754 operations — in the same operand order as the scalar
+reference, so positions, distances, and cell ids are bit-identical,
+not merely close.  The reports of the two fleets compare equal
+(``==``), field for field, including the nested db/frontend/push
+stats — the property ``tests/wsdb/test_vector.py`` sweeps seeds x
+fleet sizes x speeds to pin.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Any
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -59,27 +68,29 @@ from repro.sim.rng import stream_seed
 from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.telemetry.profiler import NULL_PROFILER
 from repro.telemetry.spans import NULL_SPANS, lookup_steps
+from repro.traces.record import NULL_RECORDER
 from repro.wsdb.citywide import (
-    DEFAULT_INTERFERENCE_RADIUS_M,
     boot_aps,
     displace_covered_aps,
     generate_mic_events,
     snapshot_assigned_aps,
 )
+from repro.wsdb.cluster.frontend import BatchFrontend
+from repro.wsdb.cluster.push import PushRegistry
+from repro.wsdb.cluster.querystorm import StormFeed, synthetic_storm
 from repro.wsdb.mobility import (
-    DEFAULT_SPEED_MPS,
-    DEFAULT_TICK_US,
     RoamingClient,
+    ScalarFleet,
     advance_position,
     spawn_clients,
 )
-from repro.traces.record import NULL_RECORDER
-from repro.wsdb.service import WhiteSpaceDatabase, quantize_cell, ttl_bucket
+from repro.wsdb.service import quantize_cell, ttl_bucket
 
 __all__ = [
+    "FLEETS",
     "VectorFleet",
-    "simulate_querystorm_vector",
-    "simulate_roaming_vector",
+    "drive_querystorm",
+    "drive_roaming",
 ]
 
 #: Sentinel for "no cell observed yet" in the trigger-cell columns;
@@ -189,6 +200,10 @@ class VectorFleet:
         return mask
 
     # -- per-tick batched stages ---------------------------------------------
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live (x, y) columns."""
+        return self.x, self.y
 
     def advance(self, step_m: float) -> None:
         """Advance every walker by *step_m* along its waypoint path.
@@ -351,25 +366,130 @@ class VectorFleet:
         return connected, new_ap, best_col, handoff_mask, violating
 
 
-def _record_mic_event(recorder, event, index: int, resolution_m: float):
-    """The mic emission shared with the scalar drivers (same stamps)."""
-    mic_cell = quantize_cell(event.x_m, event.y_m, resolution_m)
-    recorder.emit(
-        "mic",
-        event.t_us,
-        subject=index,
-        cell=mic_cell,
-        channels=(event.uhf_index,),
-        x=event.x_m,
-        y=event.y_m,
-        aux=event.uhf_index,
-    )
-    return mic_cell
+#: The fleet class each ``engine`` name selects.
+FLEETS = {"scalar": ScalarFleet, "vector": VectorFleet}
+
+class _World:
+    """One session's APs, fleet, and mic schedule.
+
+    Built off the ``{label}-aps`` / ``{label}-client`` / ``{label}-mics``
+    streams of the seed.  *register* is the kind's mic path (database
+    or frontend); it returns the devices it notified.  The trace events
+    and the AP displacement each registration causes are handled here.
+    """
+
+    def __init__(
+        self,
+        db,
+        fleet_cls,
+        label: str,
+        num_aps: int,
+        num_clients: int,
+        duration_us: float,
+        seed: int,
+        mic_events: int,
+        interference_radius_m: float,
+        register: Callable[[Any, int, Any], Iterable[int]],
+        recorder: Any,
+    ):
+        extent_m = db.metro.extent_m
+        self.db = db
+        self.num_aps = num_aps
+        self.interference_radius_m = interference_radius_m
+        self.register = register
+        self.recorder = recorder
+        self.aps = boot_aps(
+            db, num_aps, seed, f"{label}-aps", interference_radius_m
+        )
+        self.fleet = fleet_cls(
+            spawn_clients(num_clients, seed, f"{label}-client", extent_m),
+            extent_m,
+        )
+        self.events = generate_mic_events(
+            mic_events,
+            duration_us,
+            extent_m,
+            db.metro.num_channels,
+            stream_seed(seed, f"{label}-mics"),
+        )
+        self.next_event = 0
+        self.displaced = self.backup_recoveries = 0
+        self.full_reassignments = self.outages = 0
+        self.snapshot()
+
+    def snapshot(self) -> None:
+        """Hand the fleet the APs currently holding a channel."""
+        self.live_aps = snapshot_assigned_aps(self.aps)
+        self.fleet.set_snapshot(self.live_aps, self.num_aps)
+
+    def fire_mics(self, t_us: float) -> bool:
+        """Register every mic event starting by *t_us*; True if any did.
+
+        Cached responses inside the zone are invalidated and covered
+        APs walk their backups, exactly as in the citywide driver.
+        """
+        fired = False
+        while (
+            self.next_event < len(self.events)
+            and self.events[self.next_event].t_us <= t_us
+        ):
+            index = self.next_event
+            event = self.events[index]
+            registration = event.registration()
+            notified = self.register(event, index, registration)
+            if self.recorder.enabled:
+                self._record(event, index, notified)
+            d, b, r, o = displace_covered_aps(
+                self.db, self.aps, event, registration,
+                self.interference_radius_m,
+            )
+            self.displaced += d
+            self.backup_recoveries += b
+            self.full_reassignments += r
+            self.outages += o
+            self.next_event += 1
+            fired = True
+        return fired
+
+    def _record(self, event, index: int, notified: Iterable[int]) -> None:
+        resolution_m = self.db.cache_resolution_m
+        mic_cell = quantize_cell(event.x_m, event.y_m, resolution_m)
+        emit = self.recorder.emit
+        emit(
+            "mic",
+            event.t_us,
+            subject=index,
+            cell=mic_cell,
+            channels=(event.uhf_index,),
+            x=event.x_m,
+            y=event.y_m,
+            aux=event.uhf_index,
+        )
+        for device in notified:
+            emit(
+                "push",
+                event.t_us,
+                subject=device,
+                cell=mic_cell,
+                channels=(event.uhf_index,),
+                aux=index,
+            )
+
+    def report(self) -> dict[str, Any]:
+        """The deployment and mic-displacement block of a report."""
+        return {
+            "assigned_aps": sum(1 for ap in self.aps if ap.channel is not None),
+            "mic_events": len(self.events),
+            "displaced_aps": self.displaced,
+            "backup_recoveries": self.backup_recoveries,
+            "full_reassignments": self.full_reassignments,
+            "outages": self.outages,
+        }
 
 
 def _record_association_tick(
     recorder,
-    fleet: VectorFleet,
+    world: _World,
     tick,
     trig_x: np.ndarray,
     trig_y: np.ndarray,
@@ -378,74 +498,53 @@ def _record_association_tick(
 ) -> None:
     """Emit handoff and violation-window events for one fleet tick.
 
-    The stamps (trigger cell, exact position, sorted AP spans) match
-    the scalar loop's emissions value-for-value, so both engines'
-    sorted streams are identical.
+    Stamps are the trigger cell, the exact position and the sorted AP
+    spans.  Traces compare in canonical order, so the per-stage
+    emission order here is immaterial.
     """
     _connected, new_ap, best_col, handoff_mask, violating = tick
-    x, y = fleet.x, fleet.y
-    for i in np.flatnonzero(handoff_mask).tolist():
-        recorder.emit(
-            "handoff",
-            t_us,
-            subject=i,
-            cell=(int(trig_x[i]), int(trig_y[i])),
-            channels=tuple(sorted(fleet._live_spans[int(best_col[i])])),
-            x=float(x[i]),
-            y=float(y[i]),
-            aux=int(new_ap[i]),
-        )
-    opens = np.flatnonzero(violating & ~viol_open)
-    closes = np.flatnonzero(viol_open & ~violating)
-    for i in opens.tolist():
-        recorder.emit(
-            "violation_open",
-            t_us,
-            subject=i,
-            cell=(int(trig_x[i]), int(trig_y[i])),
-            channels=tuple(sorted(fleet._live_spans[int(best_col[i])])),
-            x=float(x[i]),
-            y=float(y[i]),
-        )
-    for i in closes.tolist():
-        recorder.emit(
-            "violation_close",
-            t_us,
-            subject=i,
-            cell=(int(trig_x[i]), int(trig_y[i])),
-            x=float(x[i]),
-            y=float(y[i]),
-            aux=0,
-        )
+    x, y = world.fleet.positions()
+    opens = violating & ~viol_open
+    for kind, rows in (("handoff", handoff_mask), ("violation_open", opens)):
+        for i in np.flatnonzero(rows).tolist():
+            recorder.emit(
+                kind,
+                t_us,
+                subject=i,
+                cell=(int(trig_x[i]), int(trig_y[i])),
+                channels=tuple(sorted(world.live_aps[int(best_col[i])][1])),
+                x=float(x[i]),
+                y=float(y[i]),
+                aux=int(new_ap[i]) if kind == "handoff" else None,
+            )
+    closes = viol_open & ~violating
+    _record_closes(recorder, closes, t_us, trig_x, trig_y, x, y, aux=0)
     viol_open[opens] = True
     viol_open[closes] = False
 
 
-def _record_end_closes(
-    recorder,
-    fleet: VectorFleet,
-    viol_open: np.ndarray,
-    end_us: float,
-    recheck_m: float,
+def _record_closes(
+    recorder, rows, t_us: float, trig_x, trig_y, x, y, aux: int
 ) -> None:
-    """Close still-open violation windows at end of run (aux=1)."""
-    trig_x, trig_y = fleet.cells(recheck_m)
-    for i in np.flatnonzero(viol_open).tolist():
+    """Close the violation windows of *rows*.
+
+    ``aux=1`` marks a window still open when the run ended, so analyses
+    can tell truncation from recovery.
+    """
+    for i in np.flatnonzero(rows).tolist():
         recorder.emit(
             "violation_close",
-            end_us,
+            t_us,
             subject=i,
             cell=(int(trig_x[i]), int(trig_y[i])),
-            x=float(fleet.x[i]),
-            y=float(fleet.y[i]),
-            aux=1,
+            x=float(x[i]),
+            y=float(y[i]),
+            aux=aux,
         )
 
 
-def _fleet_report(
-    fleet: VectorFleet, ticks: int, recheck_m: float
-) -> dict[str, Any]:
-    """The per-client accounting block shared by both vector drivers."""
+def _fleet_report(fleet, ticks: int, recheck_m: float) -> dict[str, Any]:
+    """The per-client accounting block shared by both drivers."""
     requeries = fleet.requeries.tolist()
     handoffs = fleet.handoffs.tolist()
     vacations = fleet.vacations.tolist()
@@ -460,8 +559,13 @@ def _fleet_report(
         "vacations": sum(vacations),
         "connected_ticks": connected_ticks,
         "disconnected_ticks": fleet.disconnected_ticks,
+        "connected_fraction": (
+            connected_ticks / client_ticks if client_ticks else 0.0
+        ),
         "violation_ticks": violation_ticks,
-        "client_ticks": client_ticks,
+        "violation_free_fraction": (
+            1.0 - violation_ticks / connected_ticks if connected_ticks else 1.0
+        ),
         "per_client": tuple(
             (i, requeries[i], handoffs[i], vacations[i], connected[i])
             for i in range(fleet.n)
@@ -470,72 +574,54 @@ def _fleet_report(
     }
 
 
-# detlint: ok[DET005] profiler times tick phases only; every published metric value is sim-clock data and reports are byte-identical with profiling on (tests/telemetry/test_determinism.py)
-def simulate_roaming_vector(
-    db: WhiteSpaceDatabase,
+def _publish_fleet_counters(tel, tallies: dict[str, Any]) -> None:
+    """The end-of-run fleet counters both kinds publish."""
+    for name in (
+        "requeries",
+        "handoffs",
+        "vacations",
+        "violation_ticks",
+        "connected_ticks",
+        "disconnected_ticks",
+    ):
+        tel.counter(name).inc(tallies[name])
+
+
+# detlint: ok[DET005] profiler times tick phases only; every published metric value is sim-clock data and reports are byte-identical with profiling on (tests/telemetry/test_profiled_runs.py)
+def drive_roaming(
+    db,
+    fleet_cls,
+    *,
     num_aps: int,
     num_clients: int,
     duration_us: float,
     seed: int,
-    speed_mps: float = DEFAULT_SPEED_MPS,
-    recheck_m: float | None = None,
-    mic_events: int = 0,
-    tick_us: float = DEFAULT_TICK_US,
-    interference_radius_m: float = DEFAULT_INTERFERENCE_RADIUS_M,
-    recorder: Any = None,
-    telemetry: Any = None,
-    profiler: Any = None,
-    spans: Any = None,
+    speed_mps: float,
+    recheck_m: float,
+    mic_events: int,
+    tick_us: float,
+    interference_radius_m: float,
+    recorder: Any,
+    telemetry: Any,
+    profiler: Any,
+    spans: Any,
 ) -> dict[str, Any]:
-    """The columnar twin of :func:`~repro.wsdb.mobility.simulate_roaming`.
+    """The roaming tick loop; see :func:`~repro.wsdb.mobility.simulate_roaming`.
 
-    Same world construction (shared ``boot_aps`` / ``spawn_clients`` /
-    ``generate_mic_events`` off the same labelled streams), same tick
-    semantics, bit-identical report — and, given a ``recorder``, the
-    identical trace event stream (the scalar loop interleaves its hooks
-    per client, this engine per stage; canonical trace ordering makes
-    the sorted streams equal).  Reached via
-    ``simulate_roaming(..., engine="vector")``; calling it directly
-    skips nothing but the argument validation.
-
-    ``telemetry`` (sim-clock, deterministic, snapshot-identical to the
-    scalar engine's) and ``profiler`` (wall-clock phase breakdown of
-    the batched tick stages: advance / recheck-detect / batch-lookup /
-    associate / compliance) both observe only — the report is
-    unchanged except for the ``"telemetry"`` snapshot key.  ``spans``
-    records the identical span set the scalar engine emits (the batch
-    lookup's per-cell outcomes are replayed per client in client
-    order).
+    Inputs arrive validated.  Each tick: fire due mic events, advance
+    the fleet, submit the due re-checks' *query* cells (the database's
+    own resolution, which the trigger granularity need not match) in
+    client order as one batch lookup, then associate and score.
     """
-    if recheck_m is None:
-        recheck_m = db.cache_resolution_m
-    if recorder is None:
-        recorder = NULL_RECORDER
+    recorder = NULL_RECORDER if recorder is None else recorder
     recording = recorder.enabled
     tel = NULL_TELEMETRY if telemetry is None else telemetry
     tel_on = tel.enabled
     sp = NULL_SPANS if spans is None else spans
     sp_on = sp.enabled
     prof = NULL_PROFILER if profiler is None else profiler
-    extent_m = db.metro.extent_m
-    aps = boot_aps(db, num_aps, seed, "roaming-aps", interference_radius_m)
-    fleet = VectorFleet(
-        spawn_clients(num_clients, seed, "roaming-client", extent_m), extent_m
-    )
 
-    events = generate_mic_events(
-        mic_events,
-        duration_us,
-        extent_m,
-        db.metro.num_channels,
-        stream_seed(seed, "roaming-mics"),
-    )
-    next_event = 0
-    displaced = backup_recoveries = full_reassignments = outages = 0
-
-    def register_event(event, index: int) -> None:
-        nonlocal displaced, backup_recoveries, full_reassignments, outages
-        registration = event.registration()
+    def register(event, index: int, registration) -> tuple[int, ...]:
         invalidated = db.register_mic(registration)
         if sp_on:
             sp.record_tree(
@@ -546,42 +632,26 @@ def simulate_roaming_vector(
                 "db",
                 [("invalidate", "db", {"entries": int(invalidated)}, ())],
             )
-        if recording:
-            _record_mic_event(recorder, event, index, db.cache_resolution_m)
-        d, b, r, o = displace_covered_aps(
-            db, aps, event, registration, interference_radius_m
-        )
-        displaced += d
-        backup_recoveries += b
-        full_reassignments += r
-        outages += o
+        return ()
 
-    live_aps, _ = snapshot_assigned_aps(aps)
-    fleet.set_snapshot(live_aps, num_aps)
-
+    world = _World(
+        db, fleet_cls, "roaming", num_aps, num_clients, duration_us, seed,
+        mic_events, interference_radius_m, register, recorder,
+    )
+    fleet = world.fleet
     aligned = recheck_m == db.cache_resolution_m
     step_m = speed_mps * tick_us / 1e6
     ticks = int(duration_us // tick_us)
     viol_open = np.zeros(fleet.n, dtype=bool)
     for k in range(ticks + 1):
         t_us = k * tick_us
-        fired = False
-        while next_event < len(events) and events[next_event].t_us <= t_us:
-            register_event(events[next_event], next_event)
-            next_event += 1
-            fired = True
-        if fired:
-            live_aps, _ = snapshot_assigned_aps(aps)
-            fleet.set_snapshot(live_aps, num_aps)
+        if world.fire_mics(t_us):
+            world.snapshot()
 
         if k > 0:
             with prof.phase("advance"):
                 fleet.advance(step_m)
 
-        # The re-check rule, batched: due clients submit their *query*
-        # cells (the database's own resolution, which the trigger
-        # granularity need not match) in client order — the exact
-        # sequence the scalar per-client loop sends.
         with prof.phase("recheck-detect"):
             trig_x, trig_y = fleet.cells(recheck_m)
             bucket = ttl_bucket(t_us, db.ttl_us)
@@ -596,8 +666,8 @@ def simulate_roaming_vector(
                 responses = db.channels_in_cells(cells, t_us)
                 fleet.commit_recheck(idx, trig_x, trig_y, bucket, responses)
             if sp_on:
-                # Replay the batch's per-cell outcomes per client in
-                # client order — the scalar loop's exact span sequence.
+                # The batch's per-cell outcomes, one span tree per
+                # re-checking client, in client order.
                 outs = db.last_outcomes
                 for j, i in enumerate(idx.tolist()):
                     hit, scanned = outs[j]
@@ -610,6 +680,7 @@ def simulate_roaming_vector(
                         [lookup_steps(hit, scanned, "db")],
                     )
             if recording:
+                x, y = fleet.positions()
                 for j, i in enumerate(idx.tolist()):
                     recorder.emit(
                         "recheck",
@@ -617,17 +688,16 @@ def simulate_roaming_vector(
                         subject=i,
                         cell=cells[j],
                         channels=responses[j],
-                        x=float(fleet.x[i]),
-                        y=float(fleet.y[i]),
+                        x=float(x[i]),
+                        y=float(y[i]),
                         aux=1,
                     )
 
         tick = fleet.associate_and_score(db.metro, t_us, profiler=prof)
         if recording:
             _record_association_tick(
-                recorder, fleet, tick, trig_x, trig_y, t_us, viol_open
+                recorder, world, tick, trig_x, trig_y, t_us, viol_open
             )
-
         if tel_on:
             tel.sample_tick(
                 t_us,
@@ -639,25 +709,20 @@ def simulate_roaming_vector(
             )
 
     if recording:
-        _record_end_closes(
-            recorder, fleet, viol_open, ticks * tick_us, recheck_m
+        x, y = fleet.positions()
+        _record_closes(
+            recorder, viol_open, ticks * tick_us, trig_x, trig_y, x, y, aux=1
         )
-
-    while next_event < len(events):
-        register_event(events[next_event], next_event)
-        next_event += 1
+    # When duration_us is not a tick multiple, events can start after
+    # the last evaluated tick; register them anyway so the database,
+    # the displacement accounting, and the reported event count agree
+    # with simulate_citywide's process-every-event semantics.
+    world.fire_mics(math.inf)
 
     tallies = _fleet_report(fleet, ticks, recheck_m)
-    connected_ticks = tallies["connected_ticks"]
-    violation_ticks = tallies["violation_ticks"]
     if tel_on:
         db.publish_metrics(tel)
-        tel.counter("requeries").inc(tallies["requeries"])
-        tel.counter("handoffs").inc(tallies["handoffs"])
-        tel.counter("vacations").inc(tallies["vacations"])
-        tel.counter("violation_ticks").inc(violation_ticks)
-        tel.counter("connected_ticks").inc(connected_ticks)
-        tel.counter("disconnected_ticks").inc(tallies["disconnected_ticks"])
+        _publish_fleet_counters(tel, tallies)
     report = {
         "num_aps": num_aps,
         "num_clients": num_clients,
@@ -665,26 +730,10 @@ def simulate_roaming_vector(
         "tick_us": tick_us,
         "speed_mps": speed_mps,
         "recheck_m": recheck_m,
-        "extent_m": extent_m,
-        "assigned_aps": sum(1 for ap in aps if ap.channel is not None),
-        "requeries": tallies["requeries"],
+        "extent_m": db.metro.extent_m,
         "requeries_per_client": tallies["requeries"] / num_clients,
-        "handoffs": tallies["handoffs"],
-        "vacations": tallies["vacations"],
-        "connected_ticks": connected_ticks,
-        "disconnected_ticks": tallies["disconnected_ticks"],
-        "connected_fraction": connected_ticks / tallies["client_ticks"],
-        "violation_ticks": violation_ticks,
-        "violation_free_fraction": (
-            1.0 - violation_ticks / connected_ticks if connected_ticks else 1.0
-        ),
-        "mic_events": len(events),
-        "displaced_aps": displaced,
-        "backup_recoveries": backup_recoveries,
-        "full_reassignments": full_reassignments,
-        "outages": outages,
-        "per_client": tallies["per_client"],
-        "final_cells": tallies["final_cells"],
+        **tallies,
+        **world.report(),
         "db": db.stats.as_dict(),
     }
     if tel_on:
@@ -694,58 +743,42 @@ def simulate_roaming_vector(
     return report
 
 
-# detlint: ok[DET005] profiler times tick phases only; every published metric value is sim-clock data and reports are byte-identical with profiling on (tests/telemetry/test_determinism.py)
-def simulate_querystorm_vector(
+# detlint: ok[DET005] profiler times tick phases only; every published metric value is sim-clock data and reports are byte-identical with profiling on (tests/telemetry/test_profiled_runs.py)
+def drive_querystorm(
     router,
+    fleet_cls,
+    *,
     num_aps: int,
     num_clients: int,
     duration_us: float,
     seed: int,
-    offered_qps: float = 0.0,
-    push: bool = False,
-    speed_mps: float = DEFAULT_SPEED_MPS,
-    recheck_m: float | None = None,
-    mic_events: int = 0,
-    tick_us: float = DEFAULT_TICK_US,
-    rate_limit_qps: float | None = None,
-    burst_size: float | None = None,
-    policy: str = "reject",
-    interference_radius_m: float = DEFAULT_INTERFERENCE_RADIUS_M,
-    storm_source: Any = None,
-    recorder: Any = None,
-    telemetry: Any = None,
-    profiler: Any = None,
-    spans: Any = None,
+    offered_qps: float,
+    push: bool,
+    speed_mps: float,
+    recheck_m: float,
+    mic_events: int,
+    tick_us: float,
+    rate_limit_qps: float | None,
+    burst_size: float | None,
+    policy: str,
+    interference_radius_m: float,
+    storm_source: Any,
+    recorder: Any,
+    telemetry: Any,
+    profiler: Any,
+    spans: Any,
 ) -> dict[str, Any]:
-    """The columnar twin of the cluster's ``simulate_querystorm``.
+    """The querystorm tick loop; see
+    :func:`~repro.wsdb.cluster.querystorm.simulate_querystorm`.
 
-    Movement, re-check detection, association, and compliance are the
-    batched fleet stages; everything whose *order* the cluster tier can
-    observe stays sequential in the scalar engine's exact order — the
-    storm burst, per-re-checker ``frontend.query`` calls (token-bucket
+    Inputs arrive validated.  Movement, re-check detection,
+    association, and compliance are fleet stages; everything whose
+    *order* the cluster tier can observe is sequential — the storm
+    burst, per-re-checker ``frontend.query`` calls (token-bucket
     admission is order-sensitive), and push-registry subscriptions
-    (movers only: a same-cell re-subscribe is a stats-free no-op, so
-    skipping it is unobservable).  Reached via
-    ``simulate_querystorm(..., engine="vector")``.
-
-    ``storm_source`` and ``recorder`` behave exactly as on the scalar
-    driver: an explicit ``(t_us, x, y)`` workload replaces the
-    synthetic generator, and a recorder captures the identical event
-    stream the scalar engine would emit.  ``telemetry`` and
-    ``profiler`` behave as on the vector roaming driver: deterministic
-    sim-clock metrics (snapshot-identical to the scalar engine's) and
-    a wall-clock phase breakdown, both observation-only.  ``spans``
-    records the identical span set the scalar engine emits (burst and
-    re-check submission order are already sequential here).
+    (movers only: a same-cell re-subscribe is a stats-free no-op).
     """
-    from repro.wsdb.cluster.frontend import BatchFrontend
-    from repro.wsdb.cluster.push import PushRegistry
-    from repro.wsdb.cluster.querystorm import StormFeed, synthetic_storm
-
-    if recheck_m is None:
-        recheck_m = router.cache_resolution_m
-    if recorder is None:
-        recorder = NULL_RECORDER
+    recorder = NULL_RECORDER if recorder is None else recorder
     recording = recorder.enabled
     tel = NULL_TELEMETRY if telemetry is None else telemetry
     tel_on = tel.enabled
@@ -763,61 +796,24 @@ def simulate_querystorm_vector(
         telemetry=tel,
         spans=sp,
     )
+    # Undelivered push notifications: a notified client leaves this set
+    # only once its refresh query is actually admitted, so admission
+    # control can delay — but never silently drop — a notification.
+    pushed = np.zeros(num_clients, dtype=bool)
 
-    extent_m = router.metro.extent_m
-    aps = boot_aps(
-        router, num_aps, seed, "querystorm-aps", interference_radius_m
-    )
-    fleet = VectorFleet(
-        spawn_clients(num_clients, seed, "querystorm-client", extent_m),
-        extent_m,
-    )
-
-    events = generate_mic_events(
-        mic_events,
-        duration_us,
-        extent_m,
-        router.metro.num_channels,
-        stream_seed(seed, "querystorm-mics"),
-    )
-    next_event = 0
-    displaced = backup_recoveries = full_reassignments = outages = 0
-    deferred_requeries = 0
-    push_refreshes = 0
-    storm_queries = 0
-
-    def register_event(event, index: int) -> tuple[int, ...]:
-        nonlocal displaced, backup_recoveries, full_reassignments, outages
-        registration = event.registration()
+    def register(event, index: int, registration) -> tuple[int, ...]:
         notified = frontend.register_mic(
             registration,
             span_ref=(index, event.t_us) if sp_on else None,
         )
-        if recording:
-            mic_cell = _record_mic_event(
-                recorder, event, index, router.cache_resolution_m
-            )
-            for device in notified:
-                recorder.emit(
-                    "push",
-                    event.t_us,
-                    subject=device,
-                    cell=mic_cell,
-                    channels=(event.uhf_index,),
-                    aux=index,
-                )
-        d, b, r, o = displace_covered_aps(
-            router, aps, event, registration, interference_radius_m
-        )
-        displaced += d
-        backup_recoveries += b
-        full_reassignments += r
-        outages += o
+        pushed[list(notified)] = True
         return notified
 
-    live_aps, _ = snapshot_assigned_aps(aps)
-    fleet.set_snapshot(live_aps, num_aps)
-
+    world = _World(
+        router, fleet_cls, "querystorm", num_aps, num_clients, duration_us,
+        seed, mic_events, interference_radius_m, register, recorder,
+    )
+    fleet = world.fleet
     step_m = speed_mps * tick_us / 1e6
     ticks = int(duration_us // tick_us)
     if storm_source is None:
@@ -825,38 +821,28 @@ def simulate_querystorm_vector(
             offered_qps,
             tick_us,
             ticks,
-            extent_m,
+            router.metro.extent_m,
             random.Random(stream_seed(seed, "querystorm-load")),
         )
     feed = StormFeed(storm_source)
-    storm_seq = 0
+    storm_queries = deferred_requeries = push_refreshes = 0
     viol_open = np.zeros(fleet.n, dtype=bool)
-    # First-attempt timestamps for deferred re-checks: latency is
-    # measured from the tick a client first needed a refresh, exactly
-    # as in the scalar driver.
+    # First-attempt time of a deferred re-check, per client: when a shed
+    # re-check finally lands, the latency histogram observes the wait
+    # from the *first* attempt, not the successful retry.
     pending_since: list[float | None] = [None] * fleet.n
-    # Undelivered push notifications (cleared only once the refresh
-    # query is admitted) and the registry-subscription shadow cells
-    # (movers-only subscribe needs to know who moved).
-    pushed = np.zeros(fleet.n, dtype=bool)
+    # Registry-subscription shadow cells (movers-only subscribe needs
+    # to know who moved).
     sub_x = np.full(fleet.n, _NO_CELL, dtype=np.int64)
     sub_y = np.full(fleet.n, _NO_CELL, dtype=np.int64)
     for k in range(ticks + 1):
         t_us = k * tick_us
-        fired = False
-        while next_event < len(events) and events[next_event].t_us <= t_us:
-            notified = register_event(events[next_event], next_event)
-            if notified:
-                pushed[list(notified)] = True
-            next_event += 1
-            fired = True
-        if fired:
-            live_aps, _ = snapshot_assigned_aps(aps)
-            fleet.set_snapshot(live_aps, num_aps)
+        if world.fire_mics(t_us):
+            world.snapshot()
 
-        # The storm burst goes first, exactly as in the scalar driver:
-        # background load contends for admission tokens ahead of the
-        # clients' re-checks.
+        # The storm burst goes first: background load contends for
+        # admission tokens ahead of the clients' re-checks, which is
+        # the starvation scenario shed policies exist for.
         points = feed.burst(t_us)
         if points:
             span_refs = (
@@ -864,7 +850,6 @@ def simulate_querystorm_vector(
                 if sp_on
                 else None
             )
-            storm_queries += len(points)
             responses = frontend.query_batch(
                 points,
                 t_us,
@@ -872,20 +857,20 @@ def simulate_querystorm_vector(
                 span_refs=span_refs,
             )
             if recording:
-                for (x_m, y_m), response, (qcell, admitted) in zip(
-                    points, responses, frontend.last_plan
+                for j, ((x_m, y_m), response, (qcell, admitted)) in enumerate(
+                    zip(points, responses, frontend.last_plan)
                 ):
                     recorder.emit(
                         "query",
                         t_us,
-                        subject=storm_seq,
+                        subject=storm_queries + j,
                         cell=qcell,
                         channels=response,
                         x=x_m,
                         y=y_m,
                         aux=int(admitted),
                     )
-                    storm_seq += 1
+            storm_queries += len(points)
 
         if k > 0:
             with prof.phase("advance"):
@@ -899,21 +884,22 @@ def simulate_querystorm_vector(
             sub_x[moved] = rcx[moved]
             sub_y[moved] = rcy[moved]
 
+        # The re-check rule, plus the push escape hatch: a client
+        # notified this tick refreshes immediately instead of riding
+        # its stale response to the next crossing/expiry.
         with prof.phase("recheck-detect"):
             trig_x, trig_y = fleet.cells(recheck_m)
             bucket = ttl_bucket(t_us, router.ttl_us)
-            need = (
-                (trig_x != fleet.last_tx)
-                | (trig_y != fleet.last_ty)
-                | (fleet.last_bucket != bucket)
-                | pushed
-            )
+            due = fleet.recheck_due(trig_x, trig_y, bucket)
+            if pushed.any():
+                due = np.union1d(due, np.flatnonzero(pushed))
         # Admission is order-sensitive, so re-checkers query one at a
-        # time in client order — the exact request sequence (and
-        # FrontendStats accounting) of the scalar loop.
-        x, y = fleet.x, fleet.y
+        # time in client order.
         with prof.phase("batch-lookup"):
-            for i in np.flatnonzero(need).tolist():
+            x, y = fleet.positions()
+            admitted_idx: list[int] = []
+            answers: list[tuple[int, ...]] = []
+            for i in due.tolist():
                 since = pending_since[i]
                 response = frontend.query(
                     float(x[i]),
@@ -936,25 +922,24 @@ def simulate_querystorm_vector(
                     )
                 if response is None:
                     # Shed without a stale fallback: keep the old
-                    # response and retry next tick.
+                    # response and retry next tick (the deferral the
+                    # reject policy produces under storm starvation).
                     deferred_requeries += 1
                     if since is None:
                         pending_since[i] = t_us
                 else:
                     pending_since[i] = None
-                    fleet.resp_id[i] = fleet.intern(response)
-                    fleet.last_tx[i] = trig_x[i]
-                    fleet.last_ty[i] = trig_y[i]
-                    fleet.last_bucket[i] = bucket
-                    fleet.requeries[i] += 1
-                    if pushed[i]:
-                        push_refreshes += 1
-                        pushed[i] = False
+                    admitted_idx.append(i)
+                    answers.append(response)
+            idx = np.array(admitted_idx, dtype=np.int64)
+            fleet.commit_recheck(idx, trig_x, trig_y, bucket, answers)
+            push_refreshes += int(np.count_nonzero(pushed[idx]))
+            pushed[idx] = False
 
         tick = fleet.associate_and_score(router.metro, t_us, profiler=prof)
         if recording:
             _record_association_tick(
-                recorder, fleet, tick, trig_x, trig_y, t_us, viol_open
+                recorder, world, tick, trig_x, trig_y, t_us, viol_open
             )
         if tel_on:
             agg = router.aggregate_stats()
@@ -974,29 +959,21 @@ def simulate_querystorm_vector(
             )
 
     if recording:
-        _record_end_closes(
-            recorder, fleet, viol_open, ticks * tick_us, recheck_m
+        x, y = fleet.positions()
+        _record_closes(
+            recorder, viol_open, ticks * tick_us, trig_x, trig_y, x, y, aux=1
         )
-
-    while next_event < len(events):
-        register_event(events[next_event], next_event)
-        next_event += 1
+    # Events past the last evaluated tick register anyway, mirroring
+    # the citywide/roaming process-every-event semantics.
+    world.fire_mics(math.inf)
 
     tallies = _fleet_report(fleet, ticks, recheck_m)
-    connected_ticks = tallies["connected_ticks"]
-    violation_ticks = tallies["violation_ticks"]
-    client_ticks = tallies["client_ticks"]
     if tel_on:
         frontend.publish_metrics(tel)
         tel.counter("storm_queries").inc(storm_queries)
-        tel.counter("requeries").inc(tallies["requeries"])
         tel.counter("deferred_requeries").inc(deferred_requeries)
         tel.counter("push_refreshes").inc(push_refreshes)
-        tel.counter("handoffs").inc(tallies["handoffs"])
-        tel.counter("vacations").inc(tallies["vacations"])
-        tel.counter("violation_ticks").inc(violation_ticks)
-        tel.counter("connected_ticks").inc(connected_ticks)
-        tel.counter("disconnected_ticks").inc(tallies["disconnected_ticks"])
+        _publish_fleet_counters(tel, tallies)
     report = {
         "num_aps": num_aps,
         "num_clients": num_clients,
@@ -1006,35 +983,17 @@ def simulate_querystorm_vector(
         "tick_us": tick_us,
         "speed_mps": speed_mps,
         "recheck_m": recheck_m,
-        "extent_m": extent_m,
+        "extent_m": router.metro.extent_m,
         "offered_qps": offered_qps,
         "push": push,
         "rate_limit_qps": rate_limit_qps,
         "shed_policy": policy,
         "storm_queries": storm_queries,
-        "assigned_aps": sum(1 for ap in aps if ap.channel is not None),
-        "requeries": tallies["requeries"],
         "deferred_requeries": deferred_requeries,
         "push_refreshes": push_refreshes,
-        "handoffs": tallies["handoffs"],
-        "vacations": tallies["vacations"],
-        "connected_ticks": connected_ticks,
-        "disconnected_ticks": tallies["disconnected_ticks"],
-        "connected_fraction": (
-            connected_ticks / client_ticks if client_ticks else 0.0
-        ),
-        "violation_ticks": violation_ticks,
-        "violation_us": violation_ticks * tick_us,
-        "violation_free_fraction": (
-            1.0 - violation_ticks / connected_ticks if connected_ticks else 1.0
-        ),
-        "mic_events": len(events),
-        "displaced_aps": displaced,
-        "backup_recoveries": backup_recoveries,
-        "full_reassignments": full_reassignments,
-        "outages": outages,
-        "per_client": tallies["per_client"],
-        "final_cells": tallies["final_cells"],
+        **tallies,
+        "violation_us": tallies["violation_ticks"] * tick_us,
+        **world.report(),
         "frontend": frontend.stats.as_dict(),
         "push_stats": (
             registry.stats.as_dict() if registry is not None else None

@@ -48,8 +48,9 @@ def test_live_suppressions_all_carry_reasons():
     report = run_live_tree()
     for finding in report.suppressed:
         assert finding.reason.strip(), f"{finding.id} suppressed without reason"
-    # Today's accepted debt: the two vector drivers that profile tick
-    # phases while publishing sim metrics (documented discipline).
+    # Today's accepted debt: the roaming and querystorm drivers in
+    # repro/wsdb/vector.py (one per kind, both engines) that profile
+    # tick phases while publishing sim metrics (documented discipline).
     assert len(report.suppressed) <= 4, (
         "suppression debt is growing; justify new pragmas in review "
         f"({[f.id for f in report.suppressed]})"
