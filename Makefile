@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: check test fast bench bench-smoke bench-trend trace-diff profile lint detlint detlint-report
+.PHONY: check test fast bench bench-smoke bench-trend perfbench-check trace-diff profile lint detlint detlint-report
 
 ## The tier-1 gate: full unit suite + lint + determinism linter.
 check: test lint detlint
@@ -54,6 +54,18 @@ bench-smoke:
 profile:
 	PYTHONPATH=$(PYTHONPATH) python scripts/profile_run.py \
 	    --kind roaming --clients 10000 --out benchmarks/results/profile
+
+## Run every benchmark workload's checks at seed 0: the check pass plus
+## the three minimum repetitions (report invariants, the brute-force
+## served-response safety sample, scalar/vector parity).  Exits 1 on
+## any failed check.
+PERFBENCH_WORKLOADS := roam storm churn whitefi
+perfbench-check:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-check: $$w"; \
+		python3 perfbench/run.py --workload $$w --seed 0 --seconds 0 \
+		    --trace 0 || exit 1; \
+	done
 
 ## Compare the last two comparable BENCH_scale.json entries; fails on a
 ## >20% clients/sec regression (no-op with nothing to compare).

@@ -185,11 +185,6 @@ BEACON_DWELL_US = BEACON_INTERVAL_US * 1.1
 FALLBACK_RNG_SEED = 20090817
 
 
-def widths_mhz() -> tuple[float, ...]:
-    """Return the supported WhiteFi channel widths (MHz), narrowest first."""
-    return CHANNEL_WIDTHS_MHZ
-
-
 def span_channels(width_mhz: float) -> int:
     """Number of 6 MHz UHF channels spanned by a WhiteFi channel of *width_mhz*.
 

@@ -161,8 +161,8 @@ class SpanRecorder:
             hash), or ``"tail"`` (keep only traces with nonzero
             duration).
         latency_bounds: histogram bucket bounds the exemplar links and
-            tail attribution use; must match the latency histogram the
-            frontend observes into (the shared default does).
+            tail attribution use; must match the frontend latency
+            histogram the run observes into (the shared default does).
     """
 
     enabled = True

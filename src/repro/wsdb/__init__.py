@@ -32,6 +32,9 @@ missing layer as a deterministic, seedable simulation component:
   (per-shard batching, token-bucket admission, pluggable shed
   policies), ``PushRegistry`` (PAWS-style zone notifications), and the
   ``querystorm`` workload driver.
+* :mod:`repro.wsdb.observe` — :class:`~repro.wsdb.observe.RunObserver`,
+  the one seam through which the drivers feed a run's trace recorder,
+  metrics registry and span recorder.
 """
 
 from repro.wsdb.citywide import (

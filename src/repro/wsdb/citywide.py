@@ -45,14 +45,9 @@ from repro.spectrum.airtime import AirtimeObservation
 from repro.spectrum.channels import WhiteFiChannel
 from repro.spectrum.spectrum_map import SpectrumMap
 from repro.spectrum.variation import availability_disagreement
-from repro.telemetry.metrics import NULL_TELEMETRY
-from repro.traces.record import NULL_RECORDER
 from repro.wsdb.model import MicRegistration
-from repro.wsdb.service import (
-    AvailabilityService,
-    WhiteSpaceDatabase,
-    quantize_cell,
-)
+from repro.wsdb.observe import RunObserver
+from repro.wsdb.service import AvailabilityService, WhiteSpaceDatabase
 
 __all__ = [
     "CityAp",
@@ -311,24 +306,17 @@ def simulate_citywide(
     """Run one citywide session; returns a plain-data report.
 
     The report is JSON-plain throughout (the ``citywide`` run kind's
-    probe routes it into an ``ExperimentResult`` unchanged).  Pass a
-    :class:`~repro.traces.record.TraceRecorder` as ``recorder`` to
-    stream the run's mic registrations and end-of-session sweep
-    queries; recording observes only, so the report is bit-identical
-    with and without it.  Pass a sim-clock ``MetricsRegistry`` as
-    ``telemetry`` to publish the database and deployment counters and
-    add a ``"telemetry"`` snapshot to the report (the citywide session
-    is event-driven — no tick loop — so it publishes counters and
-    gauges, not a per-tick series).
+    probe routes it into an ``ExperimentResult`` unchanged).  The
+    optional ``recorder`` and ``telemetry`` sinks observe only; see
+    :class:`~repro.wsdb.observe.RunObserver` for what each records.
+    The session is event-driven — no tick loop — so telemetry gets
+    end-of-run counters and gauges, not a per-tick series.
     """
     if duration_us <= 0:
         raise SimulationError(
             f"citywide duration must be > 0, got {duration_us!r}"
         )
-    if recorder is None:
-        recorder = NULL_RECORDER
-    recording = recorder.enabled
-    tel = NULL_TELEMETRY if telemetry is None else telemetry
+    observer = RunObserver(recorder, telemetry)
     extent_m = db.metro.extent_m
     aps = boot_aps(db, num_aps, seed, "citywide-aps", interference_radius_m)
 
@@ -342,20 +330,8 @@ def simulate_citywide(
     displaced = backup_recoveries = full_reassignments = outages = 0
     for index, event in enumerate(events):
         registration = event.registration()
-        db.register_mic(registration)
-        if recording:
-            recorder.emit(
-                "mic",
-                event.t_us,
-                subject=index,
-                cell=quantize_cell(
-                    event.x_m, event.y_m, db.cache_resolution_m
-                ),
-                channels=(event.uhf_index,),
-                x=event.x_m,
-                y=event.y_m,
-                aux=event.uhf_index,
-            )
+        invalidated = db.register_mic(registration)
+        observer.mic(event, index, db.cache_resolution_m, invalidated=invalidated)
         d, b, r, o = displace_covered_aps(
             db, aps, event, registration, interference_radius_m
         )
@@ -373,18 +349,7 @@ def simulate_citywide(
     final_responses = [
         db.channels_at(ap.x_m, ap.y_m, duration_us) for ap in aps
     ]
-    if recording:
-        for ap, response in zip(aps, final_responses):
-            recorder.emit(
-                "query",
-                duration_us,
-                subject=ap.ap_id,
-                cell=quantize_cell(ap.x_m, ap.y_m, db.cache_resolution_m),
-                channels=response,
-                x=ap.x_m,
-                y=ap.y_m,
-                aux=1,
-            )
+    observer.sweep(duration_us, aps, final_responses, db.cache_resolution_m)
     final_maps = [
         SpectrumMap.from_free(free, num_channels) for free in final_responses
     ]
@@ -416,16 +381,6 @@ def simulate_citywide(
 
     assigned = sum(1 for ap in aps if ap.channel is not None)
     assigned_mbps = [m for _, center, _, m in per_ap if center is not None]
-    if tel.enabled:
-        db.publish_metrics(tel)
-        tel.counter("mic_events").inc(len(events))
-        tel.counter("displaced_aps").inc(displaced)
-        tel.counter("backup_recoveries").inc(backup_recoveries)
-        tel.counter("full_reassignments").inc(full_reassignments)
-        tel.counter("outages").inc(outages)
-        tel.counter("noncompliant_aps").inc(noncompliant)
-        tel.gauge("assigned_aps").set(float(assigned))
-        tel.gauge("aggregate_mbps").set(total_mbps)
     report = {
         "num_aps": num_aps,
         "extent_m": extent_m,
@@ -446,6 +401,12 @@ def simulate_citywide(
         "per_ap": tuple(per_ap),
         "db": db.stats.as_dict(),
     }
-    if tel.enabled:
-        report["telemetry"] = tel.snapshot()
-    return report
+    counters = {
+        name: report[name]
+        for name in (
+            "mic_events", "displaced_aps", "backup_recoveries",
+            "full_reassignments", "outages", "noncompliant_aps",
+        )
+    }
+    gauges = {"assigned_aps": float(assigned), "aggregate_mbps": total_mbps}
+    return observer.attach(report, db, counters, gauges)

@@ -35,16 +35,11 @@ a response the pull protocol itself would no longer honor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from repro.errors import SimulationError, SpectrumMapError
-from repro.telemetry.metrics import (
-    DEFAULT_BATCH_BOUNDS,
-    DEFAULT_LATENCY_BOUNDS_US,
-    NULL_TELEMETRY,
-)
-from repro.telemetry.spans import NULL_SPANS, lookup_steps
 from repro.wsdb.cluster.push import PushRegistry
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.index import circle_intersects_cell
@@ -75,13 +70,19 @@ class TokenBucket:
     """
 
     def __init__(self, rate_qps: float | None, burst_size: float | None = None):
-        if rate_qps is not None and rate_qps <= 0:
+        # NaN fails every comparison and inf refills nothing sensible,
+        # so both must be finite; None is the only "unlimited".
+        if rate_qps is not None and not (
+            math.isfinite(rate_qps) and rate_qps > 0
+        ):
             raise SpectrumMapError(
-                f"rate_qps must be > 0 (or None), got {rate_qps!r}"
+                f"rate_qps must be finite and > 0 (or None), got {rate_qps!r}"
             )
-        if burst_size is not None and burst_size < 1:
+        if burst_size is not None and not (
+            math.isfinite(burst_size) and burst_size >= 1
+        ):
             raise SpectrumMapError(
-                f"burst_size must be >= 1, got {burst_size!r}"
+                f"burst_size must be finite and >= 1, got {burst_size!r}"
             )
         self.rate_qps = rate_qps
         self.burst_size = (
@@ -227,19 +228,13 @@ class BatchFrontend:
         push: optional :class:`PushRegistry` notified on
             :meth:`register_mic` (its cell resolution must match the
             router's).
-        telemetry: optional sim-clock ``MetricsRegistry``.  When
-            attached, every *served* request observes its
-            enqueue→serve latency into the ``frontend_latency_us``
-            histogram and every burst observes its size into
-            ``frontend_batch_requests``; None keeps the pre-telemetry
-            path byte-identical.
-        spans: optional sim-clock
-            :class:`~repro.telemetry.spans.SpanRecorder`.  When
-            attached *and* a caller labels its requests (the
-            ``span_refs`` argument of :meth:`query_batch`), every
-            served request records a full admission → shard-lookup →
-            cache span tree and every shed attempt a ``shed_defer``;
-            None keeps the path byte-identical.
+
+    The frontend observes nothing itself.  Like the database's
+    ``last_outcomes``, it reports what its last call did —
+    :attr:`last_plan` and :attr:`last_lookups` for a query,
+    :attr:`last_mic` for a registration — and a driver's
+    :class:`~repro.wsdb.observe.RunObserver` turns that into trace
+    events, span trees and latency metrics.
     """
 
     def __init__(
@@ -249,8 +244,6 @@ class BatchFrontend:
         burst_size: float | None = None,
         policy: str = RejectPolicy.name,
         push: PushRegistry | None = None,
-        telemetry=None,
-        spans=None,
     ):
         if push is not None and (
             push.cache_resolution_m != router.cache_resolution_m
@@ -264,8 +257,6 @@ class BatchFrontend:
         self.bucket = TokenBucket(rate_limit_qps, burst_size)
         self.policy = shed_policy(policy)
         self.push = push
-        self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
-        self.spans = NULL_SPANS if spans is None else spans
         self.stats = FrontendStats()
         # cell -> (TTL bucket the response was computed in, channels).
         self._stale: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
@@ -276,6 +267,12 @@ class BatchFrontend:
         # alone can't tell callers (e.g. trace recorders) what the
         # admission outcome was — the plan can.
         self.last_plan: list[tuple[tuple[int, int], bool]] = []
+        # The last burst's shard lookups: cell -> (shard id, cache hit,
+        # candidates scanned), one entry per distinct admitted cell.
+        self.last_lookups: dict[tuple[int, int], tuple[int, bool, int]] = {}
+        # The last registration's (responses invalidated across shards,
+        # stale-store entries purged).
+        self.last_mic: tuple[int, int] = (0, 0)
 
     def stale_response(self, qx: int, qy: int) -> tuple[int, ...] | None:
         """The cell's last response, if it is still inside its TTL bucket.
@@ -295,8 +292,6 @@ class BatchFrontend:
         self,
         points: Sequence[tuple[float, float]],
         t_us: float = 0.0,
-        enqueue_t_us: Sequence[float] | None = None,
-        span_refs: Sequence[tuple[str, Any]] | None = None,
     ) -> list[tuple[int, ...] | None]:
         """Answer a burst: admit, coalesce by cell, batch per shard.
 
@@ -305,21 +300,6 @@ class BatchFrontend:
         is evaluated per request in order (the bucket sees the burst
         the way a wire would deliver it), then admitted requests
         deduplicate to one shard lookup per distinct cell.
-
-        ``enqueue_t_us`` optionally stamps each request's enqueue time
-        (storm-event generation, or the first attempt of a deferred
-        re-check); a served request then observes ``t_us - enqueue``
-        into the latency histogram.  Today's frontend is synchronous —
-        a request serves inside its own call, so the unstamped latency
-        is honestly zero — but the stamp plumbing is exactly what the
-        ROADMAP's pipelined async tier will feed with real
-        queue-residency times.
-
-        ``span_refs`` optionally labels each request with a
-        ``(req, subject)`` identity for the attached span recorder
-        (e.g. ``("storm", sequence)`` / ``("recheck", client_id)``);
-        trace ids derive from the label plus the enqueue stamp, so a
-        deferred request's retries accumulate into one trace.
         """
         if not points:
             return []
@@ -354,7 +334,6 @@ class BatchFrontend:
         self.stats.coalesced += admitted_count - len(seen)
         # Pass 3: one batched call per shard, in shard order (the
         # deterministic order the parallel/sequential contract needs).
-        span_on = self.spans.enabled and span_refs is not None
         lookups: dict[tuple[int, int], tuple[int, bool, int]] = {}
         responses: dict[tuple[int, int], tuple[int, ...]] = {}
         for shard_id in sorted(by_shard):
@@ -362,105 +341,26 @@ class BatchFrontend:
             shard = self.router.shards[shard_id]
             for cell in by_shard[shard_id]:
                 responses[cell] = shard.channels_in_cell(*cell, t_us)
-                if span_on:
-                    hit, scanned = shard.last_outcomes[0]
-                    lookups[cell] = (shard_id, hit, scanned)
+                lookups[cell] = (shard_id, *shard.last_outcomes[0])
+        self.last_lookups = lookups
         for cell, channels in responses.items():
             self._stale[cell] = (self._bucket_now, channels)
         # Pass 4: answer in request order; shed requests go through the
         # policy (which may read the just-refreshed stale store).
-        answers = [
+        return [
             responses[cell] if admitted else self.policy.shed(self, *cell)
             for cell, admitted in plan
         ]
-        if span_on:
-            self._record_spans(
-                plan, answers, lookups, t_us, enqueue_t_us, span_refs
-            )
-        tel = self.telemetry
-        if tel.enabled:
-            tel.histogram(
-                "frontend_batch_requests", DEFAULT_BATCH_BOUNDS
-            ).observe(float(len(points)))
-            latency = tel.histogram(
-                "frontend_latency_us", DEFAULT_LATENCY_BOUNDS_US
-            )
-            for i, answer in enumerate(answers):
-                if answer is None:
-                    continue
-                enqueued = t_us if enqueue_t_us is None else enqueue_t_us[i]
-                latency.observe(t_us - enqueued)
-        return answers
-
-    def _record_spans(
-        self,
-        plan: list[tuple[tuple[int, int], bool]],
-        answers: list[tuple[int, ...] | None],
-        lookups: dict[tuple[int, int], tuple[int, bool, int]],
-        t_us: float,
-        enqueue_t_us: Sequence[float] | None,
-        span_refs: Sequence[tuple[str, Any]],
-    ) -> None:
-        """Record one span tree (or a defer) per request of the burst.
-
-        Replays the batch's own classification in request order: the
-        first admitted request per cell is the *primary* (it carries
-        the shard lookup's cache-hit/scan spans), later admitted
-        requests for the same cell are ``coalesced``, and shed
-        requests either defer (answer None) or serve from the stale
-        store.
-        """
-        sp = self.spans
-        primary: set[tuple[int, int]] = set()
-        for i, ((cell, admitted), answer) in enumerate(zip(plan, answers)):
-            req, subject = span_refs[i]
-            enq = t_us if enqueue_t_us is None else enqueue_t_us[i]
-            tid = sp.request_begin(req, subject, enq)
-            if not admitted:
-                sp.request_defer(tid, t_us)
-                if answer is None:
-                    continue
-                sp.request_serve(
-                    tid, t_us, "frontend",
-                    [("stale_serve", "frontend", {}, ())],
-                )
-                continue
-            if cell in lookups and cell not in primary:
-                primary.add(cell)
-                shard_id, hit, scanned = lookups[cell]
-                steps = [
-                    ("admission", "frontend", {}, ()),
-                    lookup_steps(hit, scanned, f"shard{shard_id}", shard=True),
-                ]
-            else:
-                steps = [
-                    ("admission", "frontend", {}, ()),
-                    ("coalesced", "frontend", {}, ()),
-                ]
-            sp.request_serve(tid, t_us, "frontend", steps)
 
     def query(
-        self,
-        x_m: float,
-        y_m: float,
-        t_us: float = 0.0,
-        enqueue_t_us: float | None = None,
-        span_ref: tuple[str, Any] | None = None,
+        self, x_m: float, y_m: float, t_us: float = 0.0
     ) -> tuple[int, ...] | None:
         """One request through the same admission/batching path."""
-        stamps = None if enqueue_t_us is None else [enqueue_t_us]
-        refs = None if span_ref is None else [span_ref]
-        return self.query_batch(
-            [(x_m, y_m)], t_us, enqueue_t_us=stamps, span_refs=refs
-        )[0]
+        return self.query_batch([(x_m, y_m)], t_us)[0]
 
     # -- updates -------------------------------------------------------------
 
-    def register_mic(
-        self,
-        registration: MicRegistration,
-        span_ref: tuple[int, float] | None = None,
-    ) -> tuple[int, ...]:
+    def register_mic(self, registration: MicRegistration) -> tuple[int, ...]:
         """Accept a registration: invalidate, then push-notify.
 
         Routes the zone through the shard tier (each touched shard
@@ -470,10 +370,6 @@ class BatchFrontend:
         notification out through the push registry when one is
         attached.  Returns the notified device ids (empty without a
         registry).
-
-        ``span_ref`` optionally labels the registration with its
-        ``(event index, t_us)`` identity so the attached span recorder
-        can record the invalidation + push fan-out tree.
         """
         invalidated = self.router.register_mic(registration)
         purged = [
@@ -489,39 +385,19 @@ class BatchFrontend:
         ]
         for cell in purged:
             del self._stale[cell]
-        notified = (
-            () if self.push is None else self.push.notify_zone(registration)
-        )
-        sp = self.spans
-        if sp.enabled and span_ref is not None:
-            index, t_us = span_ref
-            steps = [
-                (
-                    "invalidate",
-                    "frontend",
-                    {"entries": int(invalidated), "stale_purged": len(purged)},
-                    (),
-                )
-            ]
-            if self.push is not None:
-                steps.append(
-                    ("push_fanout", "push", {"notified": len(notified)}, ())
-                )
-            sp.record_tree("mic_register", "mic", index, t_us, "frontend", steps)
-        return notified
+        self.last_mic = (invalidated, len(purged))
+        return () if self.push is None else self.push.notify_zone(registration)
 
-    def publish_metrics(self, telemetry=None) -> None:
+    def publish_metrics(self, telemetry) -> None:
         """Publish the whole front-door stack into a sim-clock registry.
 
         Frontend counters land as ``frontend_*``; the router (and,
         when attached, the push registry) cascade their own
         ``publish_metrics``, so one call snapshots the full tier.
-        Defaults to the registry attached at construction.
         """
-        tel = self.telemetry if telemetry is None else telemetry
-        if not tel.enabled:
+        if not telemetry.enabled:
             return
-        tel.record_stats("frontend", self.stats.as_dict())
-        self.router.publish_metrics(tel)
+        telemetry.record_stats("frontend", self.stats.as_dict())
+        self.router.publish_metrics(telemetry)
         if self.push is not None:
-            self.push.publish_metrics(tel)
+            self.push.publish_metrics(telemetry)

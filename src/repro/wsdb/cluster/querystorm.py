@@ -52,6 +52,7 @@ from repro.wsdb.mobility import (
     DEFAULT_TICK_US,
     check_fleet_inputs,
 )
+from repro.wsdb.observe import RunObserver
 
 __all__ = ["StormFeed", "simulate_querystorm", "synthetic_storm"]
 
@@ -99,7 +100,7 @@ class StormFeed:
         self._it = iter(source)
         self._pending = next(self._it, None)
         #: The last burst's source timestamps, one per returned point —
-        #: the enqueue stamps the frontend's latency histogram observes
+        #: the enqueue stamps the run's observer measures latency from
         #: (a replayed trace carries sub-tick stamps; the synthetic
         #: storm stamps on the fence).
         self.last_times: list[float] = []
@@ -179,34 +180,17 @@ def simulate_querystorm(
             recorded storm.  ``offered_qps`` is then only echoed in the
             report (pass the source run's value to make the reports
             comparable key-for-key).
-        recorder: a :class:`~repro.traces.record.TraceRecorder` to
-            stream dense run events into (None: the zero-overhead null
-            recorder).  Recording observes only — reports are
-            bit-identical with and without it.  The caller closes the
-            recorder.
-        telemetry: a sim-clock
-            :class:`~repro.telemetry.metrics.MetricsRegistry` (None:
-            the zero-overhead null sink).  When attached, the run
-            samples a per-tick time series, the frontend observes
-            request latencies, the whole cluster publishes its counters
-            at the end, and the report gains a ``"telemetry"``
-            snapshot.  Deterministic: both engines produce identical
-            snapshots; with None the report is byte-identical to a
-            pre-telemetry run.
+        recorder / telemetry / spans: optional trace recorder, metrics
+            registry and span recorder; see
+            :class:`~repro.wsdb.observe.RunObserver` for what each
+            records.  They observe only: the report is bit-identical
+            with and without them, bar its ``"telemetry"`` and
+            ``"spans"`` snapshots.
         profiler: a wall-clock
             :class:`~repro.telemetry.profiler.PhaseProfiler` (None: the
             no-op profiler) timing the tick stages (advance /
             recheck-detect / batch-lookup / associate / compliance) on
             either engine.  Never affects the report.
-        spans: a sim-clock
-            :class:`~repro.telemetry.spans.SpanRecorder` (None: the
-            zero-overhead null recorder).  When attached, every storm
-            query and client re-check records a request-scoped span
-            tree through the frontend and every mic registration an
-            invalidation/fan-out tree, and the report gains a
-            ``"spans"`` table.  Deterministic: both engines emit
-            byte-identical span sets; with None the report is
-            byte-identical to a spans-free run.
     """
     if recheck_m is None:
         recheck_m = router.cache_resolution_m
@@ -235,8 +219,6 @@ def simulate_querystorm(
         policy=policy,
         interference_radius_m=interference_radius_m,
         storm_source=storm_source,
-        recorder=recorder,
-        telemetry=telemetry,
+        obs=RunObserver(recorder, telemetry, spans),
         profiler=profiler,
-        spans=spans,
     )

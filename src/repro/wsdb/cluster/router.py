@@ -48,6 +48,7 @@ from repro.wsdb.service import (
     DEFAULT_TTL_US,
     WhiteSpaceDatabase,
     WsdbStats,
+    check_cache_params,
     default_cell_m,
     quantize_cell,
 )
@@ -154,10 +155,7 @@ class ShardRouter:
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         cell_m: float | None = None,
     ):
-        if cache_resolution_m <= 0:
-            raise SpectrumMapError(
-                f"cache_resolution_m must be > 0, got {cache_resolution_m!r}"
-            )
+        check_cache_params(ttl_us, cache_resolution_m)
         cols, rows = shard_grid(num_shards)
         cells = cells_per_side(metro.extent_m, cache_resolution_m)
         if cols > cells or rows > cells:

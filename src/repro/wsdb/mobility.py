@@ -60,6 +60,7 @@ from repro.errors import SimulationError
 from repro.sim.rng import stream_seed
 from repro.telemetry.profiler import NULL_PROFILER
 from repro.wsdb.citywide import DEFAULT_INTERFERENCE_RADIUS_M, CityAp
+from repro.wsdb.observe import RunObserver
 from repro.wsdb.service import WhiteSpaceDatabase, quantize_cell
 
 __all__ = [
@@ -448,32 +449,17 @@ def simulate_roaming(
             :class:`~repro.wsdb.vector.VectorFleet`).  Both run the
             same driver and produce bit-identical reports; "vector" is
             the one that scales to millions of clients.
-        recorder: a :class:`~repro.traces.record.TraceRecorder` to
-            stream dense run events into (None: the zero-overhead null
-            recorder).  Recording observes only — reports are
-            bit-identical with and without it.  The caller closes the
-            recorder.
-        telemetry: a sim-clock
-            :class:`~repro.telemetry.metrics.MetricsRegistry` (None:
-            the zero-overhead null sink).  When attached, the run
-            samples a per-tick time series, publishes the database and
-            driver counters at the end, and the report gains a
-            ``"telemetry"`` snapshot.  Deterministic: both engines
-            produce identical snapshots; with None the report is
-            byte-identical to a pre-telemetry run.
+        recorder / telemetry / spans: optional trace recorder, metrics
+            registry and span recorder; see
+            :class:`~repro.wsdb.observe.RunObserver` for what each
+            records.  They observe only: the report is bit-identical
+            with and without them, bar its ``"telemetry"`` and
+            ``"spans"`` snapshots.
         profiler: a wall-clock
             :class:`~repro.telemetry.profiler.PhaseProfiler` (None: the
             no-op profiler) timing the tick stages (advance /
             recheck-detect / batch-lookup / associate / compliance) on
             either engine.  Never affects the report.
-        spans: a sim-clock
-            :class:`~repro.telemetry.spans.SpanRecorder` (None: the
-            zero-overhead null recorder).  When attached, every client
-            re-check records a cache-lookup span tree and every mic
-            registration an invalidation tree, and the report gains a
-            ``"spans"`` table.  Deterministic: both engines emit
-            byte-identical span sets; with None the report is
-            byte-identical to a spans-free run.
     """
     if recheck_m is None:
         recheck_m = db.cache_resolution_m
@@ -496,8 +482,6 @@ def simulate_roaming(
         mic_events=mic_events,
         tick_us=tick_us,
         interference_radius_m=interference_radius_m,
-        recorder=recorder,
-        telemetry=telemetry,
+        obs=RunObserver(recorder, telemetry, spans),
         profiler=profiler,
-        spans=spans,
     )

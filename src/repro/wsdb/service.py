@@ -64,6 +64,7 @@ __all__ = [
     "AvailabilityService",
     "WhiteSpaceDatabase",
     "WsdbStats",
+    "check_cache_params",
     "default_cell_m",
     "quantize_cell",
     "ttl_bucket",
@@ -134,6 +135,23 @@ class AvailabilityService(Protocol):
     def zone_affects(
         self, registration: MicRegistration, x_m: float, y_m: float
     ) -> bool: ...
+
+
+def check_cache_params(ttl_us: float, cache_resolution_m: float) -> None:
+    """Reject a response TTL or cell edge that is not finite and > 0.
+
+    NaN passes a plain ``<= 0`` check and then fails the first
+    query's cell or bucket arithmetic; infinity makes every cell or
+    bucket the same one.
+    """
+    for name, value in (
+        ("ttl_us", ttl_us),
+        ("cache_resolution_m", cache_resolution_m),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise SpectrumMapError(
+                f"{name} must be finite and > 0, got {value!r}"
+            )
 
 
 def default_cell_m(metro: Metro) -> float:
@@ -230,12 +248,7 @@ class WhiteSpaceDatabase:
         cache_resolution_m: float = DEFAULT_CACHE_RESOLUTION_M,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     ):
-        if ttl_us <= 0:
-            raise SpectrumMapError(f"ttl_us must be > 0, got {ttl_us!r}")
-        if cache_resolution_m <= 0:
-            raise SpectrumMapError(
-                f"cache_resolution_m must be > 0, got {cache_resolution_m!r}"
-            )
+        check_cache_params(ttl_us, cache_resolution_m)
         if cache_capacity < 0:
             raise SpectrumMapError(
                 f"cache_capacity must be >= 0, got {cache_capacity!r}"

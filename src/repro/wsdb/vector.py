@@ -8,9 +8,10 @@ stages (``set_snapshot``, ``advance``, ``cells``, ``recheck_due``,
 :func:`drive_querystorm` behind
 :func:`~repro.wsdb.cluster.querystorm.simulate_querystorm`.  World
 build, mic registration and AP displacement, the storm feed, push
-subscriptions, deferral, the recorder / telemetry / span / profiler
-hooks and report assembly are written once; ``engine`` only picks the
-fleet class (:data:`FLEETS`).
+subscriptions, deferral, the observer calls
+(:class:`~repro.wsdb.observe.RunObserver`), the profiler phases and
+report assembly are written once; ``engine`` only picks the fleet
+class (:data:`FLEETS`).
 
 :class:`VectorFleet` holds the whole fleet in columns (positions,
 waypoints, cached-response ids, trigger cells, TTL buckets, assigned
@@ -60,15 +61,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Callable, Iterable
+from typing import Any
 
 import numpy as np
 
 from repro.sim.rng import stream_seed
-from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.telemetry.profiler import NULL_PROFILER
-from repro.telemetry.spans import NULL_SPANS, lookup_steps
-from repro.traces.record import NULL_RECORDER
 from repro.wsdb.citywide import (
     boot_aps,
     displace_covered_aps,
@@ -84,7 +82,8 @@ from repro.wsdb.mobility import (
     advance_position,
     spawn_clients,
 )
-from repro.wsdb.service import quantize_cell, ttl_bucket
+from repro.wsdb.observe import RunObserver
+from repro.wsdb.service import ttl_bucket
 
 __all__ = [
     "FLEETS",
@@ -369,13 +368,14 @@ class VectorFleet:
 #: The fleet class each ``engine`` name selects.
 FLEETS = {"scalar": ScalarFleet, "vector": VectorFleet}
 
+
 class _World:
-    """One session's APs, fleet, and mic schedule.
+    """One session's APs, fleet, mic schedule and undelivered pushes.
 
     Built off the ``{label}-aps`` / ``{label}-client`` / ``{label}-mics``
-    streams of the seed.  *register* is the kind's mic path (database
-    or frontend); it returns the devices it notified.  The trace events
-    and the AP displacement each registration causes are handled here.
+    streams of the seed.  Mic registrations go through *frontend* when
+    the kind has one, else straight to *db*; the world observes each
+    one and handles the AP displacement it causes.
     """
 
     def __init__(
@@ -389,15 +389,15 @@ class _World:
         seed: int,
         mic_events: int,
         interference_radius_m: float,
-        register: Callable[[Any, int, Any], Iterable[int]],
-        recorder: Any,
+        obs: RunObserver,
+        frontend: BatchFrontend | None = None,
     ):
         extent_m = db.metro.extent_m
         self.db = db
         self.num_aps = num_aps
         self.interference_radius_m = interference_radius_m
-        self.register = register
-        self.recorder = recorder
+        self.obs = obs
+        self.frontend = frontend
         self.aps = boot_aps(
             db, num_aps, seed, f"{label}-aps", interference_radius_m
         )
@@ -415,6 +415,11 @@ class _World:
         self.next_event = 0
         self.displaced = self.backup_recoveries = 0
         self.full_reassignments = self.outages = 0
+        # Undelivered push notifications: a notified client leaves this
+        # set only once its refresh query is actually admitted, so
+        # admission control can delay — but never silently drop — a
+        # notification.
+        self.pushed = np.zeros(num_clients, dtype=bool)
         self.snapshot()
 
     def snapshot(self) -> None:
@@ -429,6 +434,7 @@ class _World:
         APs walk their backups, exactly as in the citywide driver.
         """
         fired = False
+        resolution_m = self.db.cache_resolution_m
         while (
             self.next_event < len(self.events)
             and self.events[self.next_event].t_us <= t_us
@@ -436,9 +442,15 @@ class _World:
             index = self.next_event
             event = self.events[index]
             registration = event.registration()
-            notified = self.register(event, index, registration)
-            if self.recorder.enabled:
-                self._record(event, index, notified)
+            if self.frontend is None:
+                invalidated = self.db.register_mic(registration)
+                self.obs.mic(event, index, resolution_m, invalidated=invalidated)
+            else:
+                notified = self.frontend.register_mic(registration)
+                self.pushed[list(notified)] = True
+                self.obs.mic(
+                    event, index, resolution_m, notified, frontend=self.frontend
+                )
             d, b, r, o = displace_covered_aps(
                 self.db, self.aps, event, registration,
                 self.interference_radius_m,
@@ -450,30 +462,6 @@ class _World:
             self.next_event += 1
             fired = True
         return fired
-
-    def _record(self, event, index: int, notified: Iterable[int]) -> None:
-        resolution_m = self.db.cache_resolution_m
-        mic_cell = quantize_cell(event.x_m, event.y_m, resolution_m)
-        emit = self.recorder.emit
-        emit(
-            "mic",
-            event.t_us,
-            subject=index,
-            cell=mic_cell,
-            channels=(event.uhf_index,),
-            x=event.x_m,
-            y=event.y_m,
-            aux=event.uhf_index,
-        )
-        for device in notified:
-            emit(
-                "push",
-                event.t_us,
-                subject=device,
-                cell=mic_cell,
-                channels=(event.uhf_index,),
-                aux=index,
-            )
 
     def report(self) -> dict[str, Any]:
         """The deployment and mic-displacement block of a report."""
@@ -487,60 +475,11 @@ class _World:
         }
 
 
-def _record_association_tick(
-    recorder,
-    world: _World,
-    tick,
-    trig_x: np.ndarray,
-    trig_y: np.ndarray,
-    t_us: float,
-    viol_open: np.ndarray,
-) -> None:
-    """Emit handoff and violation-window events for one fleet tick.
-
-    Stamps are the trigger cell, the exact position and the sorted AP
-    spans.  Traces compare in canonical order, so the per-stage
-    emission order here is immaterial.
-    """
-    _connected, new_ap, best_col, handoff_mask, violating = tick
-    x, y = world.fleet.positions()
-    opens = violating & ~viol_open
-    for kind, rows in (("handoff", handoff_mask), ("violation_open", opens)):
-        for i in np.flatnonzero(rows).tolist():
-            recorder.emit(
-                kind,
-                t_us,
-                subject=i,
-                cell=(int(trig_x[i]), int(trig_y[i])),
-                channels=tuple(sorted(world.live_aps[int(best_col[i])][1])),
-                x=float(x[i]),
-                y=float(y[i]),
-                aux=int(new_ap[i]) if kind == "handoff" else None,
-            )
-    closes = viol_open & ~violating
-    _record_closes(recorder, closes, t_us, trig_x, trig_y, x, y, aux=0)
-    viol_open[opens] = True
-    viol_open[closes] = False
-
-
-def _record_closes(
-    recorder, rows, t_us: float, trig_x, trig_y, x, y, aux: int
-) -> None:
-    """Close the violation windows of *rows*.
-
-    ``aux=1`` marks a window still open when the run ended, so analyses
-    can tell truncation from recovery.
-    """
-    for i in np.flatnonzero(rows).tolist():
-        recorder.emit(
-            "violation_close",
-            t_us,
-            subject=i,
-            cell=(int(trig_x[i]), int(trig_y[i])),
-            x=float(x[i]),
-            y=float(y[i]),
-            aux=aux,
-        )
+#: The end-of-run fleet counters both kinds publish.
+_FLEET_COUNTERS = (
+    "requeries", "handoffs", "vacations", "violation_ticks",
+    "connected_ticks", "disconnected_ticks",
+)
 
 
 def _fleet_report(fleet, ticks: int, recheck_m: float) -> dict[str, Any]:
@@ -574,20 +513,6 @@ def _fleet_report(fleet, ticks: int, recheck_m: float) -> dict[str, Any]:
     }
 
 
-def _publish_fleet_counters(tel, tallies: dict[str, Any]) -> None:
-    """The end-of-run fleet counters both kinds publish."""
-    for name in (
-        "requeries",
-        "handoffs",
-        "vacations",
-        "violation_ticks",
-        "connected_ticks",
-        "disconnected_ticks",
-    ):
-        tel.counter(name).inc(tallies[name])
-
-
-# detlint: ok[DET005] profiler times tick phases only; every published metric value is sim-clock data and reports are byte-identical with profiling on (tests/telemetry/test_profiled_runs.py)
 def drive_roaming(
     db,
     fleet_cls,
@@ -601,10 +526,8 @@ def drive_roaming(
     mic_events: int,
     tick_us: float,
     interference_radius_m: float,
-    recorder: Any,
-    telemetry: Any,
+    obs: RunObserver,
     profiler: Any,
-    spans: Any,
 ) -> dict[str, Any]:
     """The roaming tick loop; see :func:`~repro.wsdb.mobility.simulate_roaming`.
 
@@ -613,36 +536,23 @@ def drive_roaming(
     own resolution, which the trigger granularity need not match) in
     client order as one batch lookup, then associate and score.
     """
-    recorder = NULL_RECORDER if recorder is None else recorder
-    recording = recorder.enabled
-    tel = NULL_TELEMETRY if telemetry is None else telemetry
-    tel_on = tel.enabled
-    sp = NULL_SPANS if spans is None else spans
-    sp_on = sp.enabled
     prof = NULL_PROFILER if profiler is None else profiler
-
-    def register(event, index: int, registration) -> tuple[int, ...]:
-        invalidated = db.register_mic(registration)
-        if sp_on:
-            sp.record_tree(
-                "mic_register",
-                "mic",
-                index,
-                event.t_us,
-                "db",
-                [("invalidate", "db", {"entries": int(invalidated)}, ())],
-            )
-        return ()
-
     world = _World(
         db, fleet_cls, "roaming", num_aps, num_clients, duration_us, seed,
-        mic_events, interference_radius_m, register, recorder,
+        mic_events, interference_radius_m, obs,
     )
     fleet = world.fleet
     aligned = recheck_m == db.cache_resolution_m
     step_m = speed_mps * tick_us / 1e6
     ticks = int(duration_us // tick_us)
-    viol_open = np.zeros(fleet.n, dtype=bool)
+
+    def columns() -> dict[str, int]:
+        return {
+            "queries": db.stats.queries,
+            "cache_hits": db.stats.cache_hits,
+            "requeries": int(fleet.requeries.sum()),
+        }
+
     for k in range(ticks + 1):
         t_us = k * tick_us
         if world.fire_mics(t_us):
@@ -665,54 +575,12 @@ def drive_roaming(
                 cells = list(zip(qx[idx].tolist(), qy[idx].tolist()))
                 responses = db.channels_in_cells(cells, t_us)
                 fleet.commit_recheck(idx, trig_x, trig_y, bucket, responses)
-            if sp_on:
-                # The batch's per-cell outcomes, one span tree per
-                # re-checking client, in client order.
-                outs = db.last_outcomes
-                for j, i in enumerate(idx.tolist()):
-                    hit, scanned = outs[j]
-                    sp.record_tree(
-                        "request",
-                        "roam",
-                        i,
-                        t_us,
-                        "db",
-                        [lookup_steps(hit, scanned, "db")],
-                    )
-            if recording:
-                x, y = fleet.positions()
-                for j, i in enumerate(idx.tolist()):
-                    recorder.emit(
-                        "recheck",
-                        t_us,
-                        subject=i,
-                        cell=cells[j],
-                        channels=responses[j],
-                        x=float(x[i]),
-                        y=float(y[i]),
-                        aux=1,
-                    )
+            obs.db_recheck(t_us, db, fleet, idx, cells, responses)
 
         tick = fleet.associate_and_score(db.metro, t_us, profiler=prof)
-        if recording:
-            _record_association_tick(
-                recorder, world, tick, trig_x, trig_y, t_us, viol_open
-            )
-        if tel_on:
-            tel.sample_tick(
-                t_us,
-                queries=db.stats.queries,
-                cache_hits=db.stats.cache_hits,
-                requeries=int(fleet.requeries.sum()),
-                handoffs=int(fleet.handoffs.sum()),
-                violating=int(tick[4].sum()),
-            )
+        obs.tick(t_us, fleet, world.live_aps, tick, trig_x, trig_y, columns)
 
-    if recording:
-        x, y = fleet.positions()
-        _record_closes(
-            recorder, viol_open, ticks * tick_us, trig_x, trig_y, x, y, aux=1
-        )
+    obs.run_end(ticks * tick_us, fleet, trig_x, trig_y)
     # When duration_us is not a tick multiple, events can start after
     # the last evaluated tick; register them anyway so the database,
     # the displacement accounting, and the reported event count agree
@@ -720,9 +588,6 @@ def drive_roaming(
     world.fire_mics(math.inf)
 
     tallies = _fleet_report(fleet, ticks, recheck_m)
-    if tel_on:
-        db.publish_metrics(tel)
-        _publish_fleet_counters(tel, tallies)
     report = {
         "num_aps": num_aps,
         "num_clients": num_clients,
@@ -736,14 +601,10 @@ def drive_roaming(
         **world.report(),
         "db": db.stats.as_dict(),
     }
-    if tel_on:
-        report["telemetry"] = tel.snapshot()
-    if sp_on:
-        report["spans"] = sp.snapshot()
-    return report
+    counters = {name: tallies[name] for name in _FLEET_COUNTERS}
+    return obs.attach(report, db, counters)
 
 
-# detlint: ok[DET005] profiler times tick phases only; every published metric value is sim-clock data and reports are byte-identical with profiling on (tests/telemetry/test_profiled_runs.py)
 def drive_querystorm(
     router,
     fleet_cls,
@@ -763,10 +624,8 @@ def drive_querystorm(
     policy: str,
     interference_radius_m: float,
     storm_source: Any,
-    recorder: Any,
-    telemetry: Any,
+    obs: RunObserver,
     profiler: Any,
-    spans: Any,
 ) -> dict[str, Any]:
     """The querystorm tick loop; see
     :func:`~repro.wsdb.cluster.querystorm.simulate_querystorm`.
@@ -778,14 +637,7 @@ def drive_querystorm(
     admission is order-sensitive), and push-registry subscriptions
     (movers only: a same-cell re-subscribe is a stats-free no-op).
     """
-    recorder = NULL_RECORDER if recorder is None else recorder
-    recording = recorder.enabled
-    tel = NULL_TELEMETRY if telemetry is None else telemetry
-    tel_on = tel.enabled
-    sp = NULL_SPANS if spans is None else spans
-    sp_on = sp.enabled
     prof = NULL_PROFILER if profiler is None else profiler
-
     registry = PushRegistry(router.cache_resolution_m) if push else None
     frontend = BatchFrontend(
         router,
@@ -793,27 +645,13 @@ def drive_querystorm(
         burst_size=burst_size,
         policy=policy,
         push=registry,
-        telemetry=tel,
-        spans=sp,
     )
-    # Undelivered push notifications: a notified client leaves this set
-    # only once its refresh query is actually admitted, so admission
-    # control can delay — but never silently drop — a notification.
-    pushed = np.zeros(num_clients, dtype=bool)
-
-    def register(event, index: int, registration) -> tuple[int, ...]:
-        notified = frontend.register_mic(
-            registration,
-            span_ref=(index, event.t_us) if sp_on else None,
-        )
-        pushed[list(notified)] = True
-        return notified
-
     world = _World(
         router, fleet_cls, "querystorm", num_aps, num_clients, duration_us,
-        seed, mic_events, interference_radius_m, register, recorder,
+        seed, mic_events, interference_radius_m, obs, frontend,
     )
     fleet = world.fleet
+    pushed = world.pushed
     step_m = speed_mps * tick_us / 1e6
     ticks = int(duration_us // tick_us)
     if storm_source is None:
@@ -826,15 +664,27 @@ def drive_querystorm(
         )
     feed = StormFeed(storm_source)
     storm_queries = deferred_requeries = push_refreshes = 0
-    viol_open = np.zeros(fleet.n, dtype=bool)
     # First-attempt time of a deferred re-check, per client: when a shed
-    # re-check finally lands, the latency histogram observes the wait
-    # from the *first* attempt, not the successful retry.
+    # re-check finally lands, its latency counts the wait from the
+    # *first* attempt, not the successful retry.
     pending_since: list[float | None] = [None] * fleet.n
     # Registry-subscription shadow cells (movers-only subscribe needs
     # to know who moved).
     sub_x = np.full(fleet.n, _NO_CELL, dtype=np.int64)
     sub_y = np.full(fleet.n, _NO_CELL, dtype=np.int64)
+
+    def columns() -> dict[str, int]:
+        agg = router.aggregate_stats()
+        return {
+            "queries": agg.queries,
+            "cache_hits": agg.cache_hits,
+            "requests": frontend.stats.requests,
+            "shed": frontend.stats.shed,
+            "pushes": (
+                registry.stats.notifications if registry is not None else 0
+            ),
+        }
+
     for k in range(ticks + 1):
         t_us = k * tick_us
         if world.fire_mics(t_us):
@@ -845,31 +695,11 @@ def drive_querystorm(
         # the starvation scenario shed policies exist for.
         points = feed.burst(t_us)
         if points:
-            span_refs = (
-                [("storm", storm_queries + j) for j in range(len(points))]
-                if sp_on
-                else None
+            responses = frontend.query_batch(points, t_us)
+            obs.frontend_batch(
+                frontend, t_us, "storm", storm_queries, points,
+                feed.last_times, responses,
             )
-            responses = frontend.query_batch(
-                points,
-                t_us,
-                enqueue_t_us=feed.last_times,
-                span_refs=span_refs,
-            )
-            if recording:
-                for j, ((x_m, y_m), response, (qcell, admitted)) in enumerate(
-                    zip(points, responses, frontend.last_plan)
-                ):
-                    recorder.emit(
-                        "query",
-                        t_us,
-                        subject=storm_queries + j,
-                        cell=qcell,
-                        channels=response,
-                        x=x_m,
-                        y=y_m,
-                        aux=int(admitted),
-                    )
             storm_queries += len(points)
 
         if k > 0:
@@ -901,24 +731,12 @@ def drive_querystorm(
             answers: list[tuple[int, ...]] = []
             for i in due.tolist():
                 since = pending_since[i]
-                response = frontend.query(
-                    float(x[i]),
-                    float(y[i]),
-                    t_us,
-                    enqueue_t_us=t_us if since is None else since,
-                    span_ref=("recheck", i) if sp_on else None,
-                )
-                if recording:
-                    qcell, admitted = frontend.last_plan[0]
-                    recorder.emit(
-                        "recheck",
-                        t_us,
-                        subject=i,
-                        cell=qcell,
-                        channels=response,
-                        x=float(x[i]),
-                        y=float(y[i]),
-                        aux=int(admitted),
+                xi, yi = float(x[i]), float(y[i])
+                response = frontend.query(xi, yi, t_us)
+                if obs.on:
+                    obs.frontend_batch(
+                        frontend, t_us, "recheck", i, [(xi, yi)],
+                        [t_us if since is None else since], [response],
                     )
                 if response is None:
                     # Shed without a stale fallback: keep the old
@@ -937,43 +755,14 @@ def drive_querystorm(
             pushed[idx] = False
 
         tick = fleet.associate_and_score(router.metro, t_us, profiler=prof)
-        if recording:
-            _record_association_tick(
-                recorder, world, tick, trig_x, trig_y, t_us, viol_open
-            )
-        if tel_on:
-            agg = router.aggregate_stats()
-            tel.sample_tick(
-                t_us,
-                queries=agg.queries,
-                cache_hits=agg.cache_hits,
-                requests=frontend.stats.requests,
-                shed=frontend.stats.shed,
-                pushes=(
-                    registry.stats.notifications
-                    if registry is not None
-                    else 0
-                ),
-                handoffs=int(fleet.handoffs.sum()),
-                violating=int(tick[4].sum()),
-            )
+        obs.tick(t_us, fleet, world.live_aps, tick, trig_x, trig_y, columns)
 
-    if recording:
-        x, y = fleet.positions()
-        _record_closes(
-            recorder, viol_open, ticks * tick_us, trig_x, trig_y, x, y, aux=1
-        )
+    obs.run_end(ticks * tick_us, fleet, trig_x, trig_y)
     # Events past the last evaluated tick register anyway, mirroring
     # the citywide/roaming process-every-event semantics.
     world.fire_mics(math.inf)
 
     tallies = _fleet_report(fleet, ticks, recheck_m)
-    if tel_on:
-        frontend.publish_metrics(tel)
-        tel.counter("storm_queries").inc(storm_queries)
-        tel.counter("deferred_requeries").inc(deferred_requeries)
-        tel.counter("push_refreshes").inc(push_refreshes)
-        _publish_fleet_counters(tel, tallies)
     report = {
         "num_aps": num_aps,
         "num_clients": num_clients,
@@ -1001,8 +790,10 @@ def drive_querystorm(
         "db": router.stats_dict(),
         "per_shard": router.per_shard_stats(),
     }
-    if tel_on:
-        report["telemetry"] = tel.snapshot()
-    if sp_on:
-        report["spans"] = sp.snapshot()
-    return report
+    counters = {
+        "storm_queries": storm_queries,
+        "deferred_requeries": deferred_requeries,
+        "push_refreshes": push_refreshes,
+        **{name: tallies[name] for name in _FLEET_COUNTERS},
+    }
+    return obs.attach(report, frontend, counters)

@@ -58,6 +58,15 @@ class TestTokenBucket:
         with pytest.raises(SpectrumMapError):
             TokenBucket(rate_qps=10.0, burst_size=0.5)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    def test_non_finite_parameters_raise(self, value):
+        # A NaN rate used to refill the bucket to full on every clock
+        # advance; None is the only way to ask for no limit.
+        with pytest.raises(SpectrumMapError):
+            TokenBucket(rate_qps=value)
+        with pytest.raises(SpectrumMapError):
+            TokenBucket(rate_qps=10.0, burst_size=value)
+
 
 class TestBatching:
     def test_batch_answers_match_direct_database(self):

@@ -47,6 +47,12 @@ class TestShardGrid:
         with pytest.raises(SpectrumMapError):
             ShardRouter(spread_metro(), num_shards=0)
 
+    @pytest.mark.parametrize("name", ("ttl_us", "cache_resolution_m"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), 0.0))
+    def test_invalid_cache_parameters_raise(self, name, value):
+        with pytest.raises(SpectrumMapError):
+            ShardRouter(spread_metro(), num_shards=4, **{name: value})
+
 
 class TestPartition:
     def test_boundaries_are_cell_aligned_and_cover_the_plane(self):

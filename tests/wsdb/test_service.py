@@ -135,6 +135,12 @@ class TestResponseCache:
             {"ttl_us": 0.0},
             {"cache_resolution_m": 0.0},
             {"cache_capacity": -1},
+            # NaN slips past a plain `<= 0` check and used to die only
+            # at the first query, in the cell or bucket arithmetic.
+            {"ttl_us": float("nan")},
+            {"ttl_us": float("inf")},
+            {"cache_resolution_m": float("nan")},
+            {"cache_resolution_m": float("inf")},
         ):
             with pytest.raises(SpectrumMapError):
                 WhiteSpaceDatabase(one_station_metro(), **kwargs)
