@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: check test fast bench bench-smoke bench-trend perfbench-check trace-diff profile lint detlint detlint-report
+.PHONY: check test fast bench bench-smoke bench-trend examples perfbench-check trace-diff profile lint detlint detlint-report
 
 ## The tier-1 gate: full unit suite + lint + determinism linter.
 check: test lint detlint
@@ -45,6 +45,16 @@ bench-smoke:
 	    benchmarks/results/telemetry-smoke.metrics.json
 	python scripts/span_report.py \
 	    benchmarks/results/telemetry-smoke.spans.jsonl
+
+## Run every examples/*.py script end to end (~10 s).  The examples
+## build specs through the public flat-keyword API, so this catches a
+## spec-layer change that lint alone would not.  They write nothing
+## into the tree (seed_sweep caches under $TMPDIR).
+examples:
+	@for f in examples/*.py; do \
+		echo "examples: $$f"; \
+		PYTHONPATH=$(PYTHONPATH) python $$f > /dev/null || exit 1; \
+	done
 
 ## Profile a 10k-client vector roaming run: per-phase wall-clock
 ## breakdown (JSON + Chrome trace-event timeline), the sim-clock

@@ -51,7 +51,10 @@ from repro.errors import (
 # with tail attribution) and the `spans` / `span_sample` spec knobs —
 # every spec hash changes, so the version bump retires caches that
 # predate the knobs.
-__version__ = "1.9.0"
+# 1.10.0: per-kind parameter blocks.  An ExperimentSpec is scenario +
+# kind + params, and its JSON carries only the kind's own knobs, so
+# every spec hash changes; reports do not.
+__version__ = "1.10.0"
 
 __all__ = [
     "constants",

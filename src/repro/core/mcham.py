@@ -57,6 +57,11 @@ def expected_share(busy_fraction: float, other_ap_count: int) -> float:
     return max(1.0 - busy_fraction, 1.0 / (other_ap_count + 1))
 
 
+#: Ways to combine a node's per-UHF-channel shares: "product" is the
+#: paper's metric, "min"/"max" the ablation's alternatives.
+AGGREGATIONS = ("product", "min", "max")
+
+
 def mcham(
     channel: WhiteFiChannel,
     observation: AirtimeObservation,

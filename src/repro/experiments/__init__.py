@@ -8,20 +8,22 @@ into data and each axis into a plugin:
 * :mod:`repro.experiments.spec` — frozen, JSON-round-trippable
   :class:`ScenarioSpec` / :class:`ExperimentSpec` dataclasses describing
   a scenario (spectrum, foreground BSS, background pool, incumbents,
-  churn, traffic model, duration, seed) and what to run on it.
+  churn, traffic model, duration, seed) and what to run on it: a kind
+  plus that kind's parameter block.
 * :mod:`repro.experiments.registry` — the pluggable :class:`RunKind`
-  registry and :class:`Probe` API: each registered kind owns its spec
-  validation, execution, and metric extraction;
-  :func:`run_experiment` is a thin registry lookup and ``RUN_KINDS``
-  is derived from the registry.
-* :mod:`repro.experiments.kinds` — the nine built-in kinds:
+  registry and :class:`Probe` API: each registered kind owns its
+  parameter block (:class:`KindParams`), scenario validation,
+  execution, and metric extraction; :func:`run_experiment` is a thin
+  registry lookup and ``RUN_KINDS`` is derived from the registry.
+* :mod:`repro.experiments.kinds` — the ten built-in kinds:
   ``static``, ``opt``, ``whitefi``, ``protocol`` (world simulations,
   Figures 10-14), ``discovery`` (AP-discovery races, Figures 8-9),
   ``sift`` (detection/classification accuracy, Table 1), and the
-  :mod:`repro.wsdb` trio — ``citywide`` (many APs on one metro
+  :mod:`repro.wsdb` kinds — ``citywide`` (many APs on one metro
   geolocation database), ``roaming`` (mobile clients under the FCC
   re-check rule), ``querystorm`` (a sharded database cluster under
-  storm load, with optional PAWS-style push).
+  storm load, with optional PAWS-style push) and ``replay`` (a
+  recorded storm trace re-driven through that cluster).
 * :mod:`repro.experiments.probes` — composable metric extractors
   (throughput, airtime, switch log, disconnection timeline, discovery
   latency, SIFT confusion counts) that populate ``ExperimentResult``.
@@ -42,6 +44,7 @@ into data and each axis into a plugin:
 
 from repro.experiments.parallel import ParallelRunner, sweep_seeds
 from repro.experiments.registry import (
+    KindParams,
     Probe,
     RunKind,
     get_run_kind,
@@ -84,6 +87,7 @@ __all__ = [
     "BackgroundSpec",
     "ExperimentSpec",
     "ExperimentResult",
+    "KindParams",
     "MicSpec",
     "ParallelRunner",
     "Probe",

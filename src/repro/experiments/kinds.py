@@ -1,7 +1,9 @@
 """The built-in run kinds: the paper's whole evaluation matrix.
 
 Each kind is a :class:`~repro.experiments.registry.RunKind` plugin
-owning its spec validation, its world-building hook on
+owning its parameter block (a ``KindParams`` dataclass defined next to
+it, holding exactly the knobs it reads), its scenario validation, its
+world-building hook on
 :class:`~repro.experiments.scenario.ScenarioBuilder`, its execution,
 and its probe set:
 
@@ -21,16 +23,20 @@ replay     a recorded storm trace re-driven through the cluster querystorm metri
 ========== ==================================================== =========================================
 
 Importing this module registers all ten; adding an evaluation axis is
-a new ``RunKind`` subclass plus ``register_run_kind`` — no dispatcher
-edits anywhere.
+a new ``RunKind`` subclass (with its ``params`` block) plus
+``register_run_kind`` — no dispatcher edits anywhere.  The wsdb blocks
+nest (``CitywideParams`` → ``RoamingParams`` → ``QuerystormParams`` →
+``ReplayParams``), so those kinds agree on their shared knobs.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any, ClassVar, Iterable, Mapping
 
 from repro import constants
+from repro.core.discovery import DISCOVERY_ALGORITHMS, discovery_algorithm
+from repro.core.mcham import AGGREGATIONS
 from repro.errors import SimulationError
 from repro.experiments.probes import (
     AirtimeProbe,
@@ -51,8 +57,10 @@ from repro.experiments.probes import (
     TimelineProbe,
 )
 from repro.experiments.registry import (
+    KindParams,
     RunKind,
     assemble_result,
+    check_positive,
     register_run_kind,
 )
 from repro.experiments.results import ExperimentResult
@@ -64,40 +72,80 @@ from repro.experiments.runs import (
 )
 from repro.experiments.scenario import ScenarioBuilder, build_config
 from repro.experiments.spec import ExperimentSpec, TrafficSpec
+from repro.sift.analyzer import SiftAnalyzer
+from repro.sift.workloads import PACKETS_PER_RUN, sift_workload_metrics
 from repro.spectrum.channels import WhiteFiChannel
+from repro.telemetry import TELEMETRY_MODES, MetricsRegistry
+from repro.telemetry.spans import SPANS_MODES, SpanRecorder, parse_span_sample
+from repro.traces.replay import TraceWorkload
+from repro.wsdb.citywide import simulate_citywide
+from repro.wsdb.cluster import simulate_querystorm
+from repro.wsdb.cluster.frontend import SHED_POLICIES
+from repro.wsdb.cluster.router import cells_per_side, shard_grid
+from repro.wsdb.mobility import DEFAULT_SPEED_MPS, ENGINES, simulate_roaming
+from repro.wsdb.model import DEFAULT_EXTENT_M
+from repro.wsdb.service import DEFAULT_CACHE_RESOLUTION_M
 
 __all__ = [
     "CitywideKind",
+    "CitywideParams",
     "DiscoveryKind",
+    "DiscoveryParams",
     "OptKind",
+    "OptParams",
     "ProtocolKind",
+    "ProtocolParams",
     "QuerystormKind",
+    "QuerystormParams",
+    "ReplayKind",
+    "ReplayParams",
     "RoamingKind",
+    "RoamingParams",
     "SiftKind",
+    "SiftParams",
     "StaticKind",
+    "StaticParams",
     "WhiteFiKind",
+    "WhiteFiParams",
 ]
 
 
 # -- shared validation helpers -------------------------------------------------
 #
-# The philosophy (unchanged from the monolithic ExperimentSpec checks):
-# reject scenario features and kind-specific knobs a run kind would
-# silently ignore where intent is unambiguous — plausible-looking
-# results from an unsimulated feature are worse than an error.  Knobs
-# with None defaults are unambiguous (setting one states intent) and
-# are rejected outside their owner kind; tuning knobs with non-None
-# defaults (reeval_interval_us, probe_duration_us, aggregation, ...)
-# stay unchecked so one scenario template can be reused across kinds.
+# Knob checks live in each kind's parameter block; a kind's
+# validate_spec only rejects scenario features the kind would silently
+# ignore where intent is unambiguous — plausible-looking results from
+# an unsimulated feature are worse than an error.
 
 
-def _reject_mics(
-    spec: ExperimentSpec,
-    reason: str = (
-        "does not simulate microphone incumbents; "
-        "use kind 'protocol' or drop mics"
-    ),
-) -> None:
+def _check_choice(name: str, value: str, choices: Iterable[str]) -> None:
+    if value not in choices:
+        raise SimulationError(
+            f"unknown {name} {value!r}; expected one of {tuple(sorted(choices))}"
+        )
+
+
+def _check_width(name: str, width: float) -> None:
+    if width not in constants.CHANNEL_WIDTHS_MHZ:
+        raise SimulationError(
+            f"{name} {width!r} is not a WhiteFi width; "
+            f"expected one of {constants.CHANNEL_WIDTHS_MHZ}"
+        )
+
+
+#: Why the kinds other than "protocol" reject scenario mics.
+_NO_MICS = (
+    "does not simulate microphone incumbents; use kind 'protocol' or drop mics"
+)
+
+#: Why the wsdb kinds reject scenario mics.
+_WSDB_MICS = (
+    "generates its own microphone registrations; "
+    "use citywide_mic_events instead of scenario mics"
+)
+
+
+def _reject_mics(spec: ExperimentSpec, reason: str = _NO_MICS) -> None:
     if spec.scenario.mics:
         raise SimulationError(f"kind {spec.kind!r} {reason}")
 
@@ -107,21 +155,6 @@ def _reject_backgrounds(spec: ExperimentSpec) -> None:
         raise SimulationError(
             f"kind {spec.kind!r} does not simulate background pairs; "
             "use a scenario without backgrounds"
-        )
-
-
-def _reject_channel(spec: ExperimentSpec) -> None:
-    if spec.channel is not None:
-        raise SimulationError(
-            f"kind {spec.kind!r} picks its own channel; "
-            "a fixed channel only applies to kind 'static'"
-        )
-
-
-def _reject_timeline(spec: ExperimentSpec) -> None:
-    if spec.timeline_interval_us is not None:
-        raise SimulationError(
-            f"kind {spec.kind!r} does not sample a throughput timeline"
         )
 
 
@@ -141,194 +174,15 @@ def _reject_spatial(spec: ExperimentSpec) -> None:
         )
 
 
-def _reject_foreign_knobs(spec: ExperimentSpec, *owned: str) -> None:
-    """Reject kind-specific knobs (None defaults) set for another kind."""
-    owners = {
-        "hysteresis_margin": ("whitefi",),
-        "ap_weight": ("whitefi",),
-        "run_until_us": ("protocol",),
-        "discovery_algorithm": ("discovery",),
-        "sift_width_mhz": ("sift",),
-        "sift_rate_mbps": ("sift",),
-        "sift_num_packets": ("sift",),
-        "citywide_aps": ("citywide", "roaming", "querystorm", "replay"),
-        "citywide_extent_km": ("citywide", "roaming", "querystorm", "replay"),
-        "citywide_mic_events": (
-            "citywide",
-            "roaming",
-            "querystorm",
-            "replay",
-        ),
-        "roaming_clients": ("roaming", "querystorm", "replay"),
-        "roaming_speed_mps": ("roaming", "querystorm", "replay"),
-        "roaming_recheck_m": ("roaming", "querystorm", "replay"),
-        "storm_shards": ("querystorm", "replay"),
-        "storm_offered_qps": ("querystorm", "replay"),
-        "storm_push": ("querystorm", "replay"),
-        "storm_rate_limit_qps": ("querystorm", "replay"),
-        "storm_shed_policy": ("querystorm", "replay"),
-        "engine": ("roaming", "querystorm", "replay"),
-        "storm_trace": ("querystorm", "replay"),
-        "telemetry": ("citywide", "roaming", "querystorm", "replay"),
-        "spans": ("roaming", "querystorm", "replay"),
-        "span_sample": ("roaming", "querystorm", "replay"),
-    }
-    for knob, owner_kinds in owners.items():
-        if knob not in owned and getattr(spec, knob) is not None:
-            names = " / ".join(repr(k) for k in owner_kinds)
-            raise SimulationError(
-                f"kind {spec.kind!r} does not use {knob}; "
-                f"it only applies to kind {names}"
-            )
-
-
-# -- shared wsdb deployment knobs ----------------------------------------------
-#
-# The citywide_* knobs describe the metro deployment every wsdb kind
-# (citywide / roaming / querystorm) runs against; one validator and one
-# resolver keep the three kinds agreeing on their semantics instead of
-# each carrying its own copy of the checks and the km -> m conversion.
-
-
-def _validate_citywide_deployment(spec: ExperimentSpec) -> None:
-    """Validate the shared citywide_* metro-deployment knobs."""
-    if spec.citywide_aps is None or spec.citywide_aps < 1:
-        raise SimulationError(
-            f"kind {spec.kind!r} requires citywide_aps >= 1 "
-            f"(the fixed metro deployment), got {spec.citywide_aps!r}"
-        )
-    if spec.citywide_extent_km is not None and spec.citywide_extent_km <= 0:
-        raise SimulationError(
-            f"citywide_extent_km must be > 0, got {spec.citywide_extent_km!r}"
-        )
-    if spec.citywide_mic_events is not None and spec.citywide_mic_events < 0:
-        raise SimulationError(
-            "citywide_mic_events must be >= 0, "
-            f"got {spec.citywide_mic_events!r}"
-        )
-
-
-def _citywide_extent_m(spec: ExperimentSpec) -> float | None:
-    """The metro plane edge in meters (None: the wsdb default)."""
-    if spec.citywide_extent_km is None:
-        return None
-    return spec.citywide_extent_km * 1_000.0
-
-
-def _finite_positive(value: float | None, allow_zero: bool = False) -> bool:
-    """True for None, or a finite value > 0 (>= 0 with *allow_zero*)."""
-    return value is None or (
-        math.isfinite(value) and (value > 0 or (allow_zero and value == 0))
-    )
-
-
-def _validate_roaming_clients(spec: ExperimentSpec) -> None:
-    """Validate the mobile-population knobs roaming and querystorm share.
-
-    Non-finite values fail here, at spec build, rather than hanging or
-    silently skewing a run inside a ``ParallelRunner`` worker.
-    """
-    if not _finite_positive(spec.roaming_speed_mps):
-        raise SimulationError(
-            "roaming_speed_mps must be finite and > 0, "
-            f"got {spec.roaming_speed_mps!r}"
-        )
-    if not _finite_positive(spec.roaming_recheck_m):
-        raise SimulationError(
-            "roaming_recheck_m must be finite and > 0, "
-            f"got {spec.roaming_recheck_m!r}"
-        )
-
-
-def _validate_engine(spec: ExperimentSpec) -> None:
-    """Validate the mobile-engine knob roaming and querystorm share."""
-    # Imported lazily like every wsdb reach-down: the mobility driver
-    # owns the engine registry.
-    from repro.wsdb.mobility import ENGINES
-
-    if spec.engine is not None and spec.engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {spec.engine!r}; expected one of {ENGINES}"
-        )
-
-
-def _validate_telemetry(spec: ExperimentSpec) -> None:
-    """Validate the telemetry knob every wsdb kind shares."""
-    from repro.telemetry import TELEMETRY_MODES
-
-    if spec.telemetry is not None and spec.telemetry not in TELEMETRY_MODES:
-        raise SimulationError(
-            f"unknown telemetry mode {spec.telemetry!r}; "
-            f"expected one of {TELEMETRY_MODES}"
-        )
-
-
-def _telemetry_session(spec: ExperimentSpec):
-    """A fresh sim-clock registry when the spec asks for one, else None.
-
-    None keeps the driver's pre-telemetry path byte-identical — the
-    ``telemetry="off"`` parity contract.
-    """
-    if spec.telemetry != "on":
-        return None
-    from repro.telemetry import MetricsRegistry
-
-    return MetricsRegistry()
-
-
-def _validate_spans(spec: ExperimentSpec) -> None:
-    """Validate the span-tracing knobs the mobile wsdb kinds share."""
-    from repro.telemetry.spans import SPANS_MODES, parse_span_sample
-
-    if spec.spans is not None and spec.spans not in SPANS_MODES:
-        raise SimulationError(
-            f"unknown spans mode {spec.spans!r}; "
-            f"expected one of {SPANS_MODES}"
-        )
-    if spec.span_sample is not None:
-        if spec.spans != "on":
-            raise SimulationError(
-                "span_sample requires spans='on' "
-                f"(got spans={spec.spans!r})"
-            )
-        parse_span_sample(spec.span_sample)
-
-
-def _spans_session(spec: ExperimentSpec):
-    """A fresh span recorder when the spec asks for one, else None.
-
-    None keeps the driver's spans-free path byte-identical — the
-    ``spans="off"`` parity contract.
-    """
-    if spec.spans != "on":
-        return None
-    from repro.telemetry.spans import SpanRecorder
-
-    return SpanRecorder(sample=spec.span_sample)
-
-
-def _roaming_kwargs(spec: ExperimentSpec) -> dict[str, float]:
-    """Driver overrides for the set mobile-population tuning knobs."""
-    kwargs: dict[str, float] = {}
-    if spec.roaming_speed_mps is not None:
-        kwargs["speed_mps"] = spec.roaming_speed_mps
-    if spec.roaming_recheck_m is not None:
-        kwargs["recheck_m"] = spec.roaming_recheck_m
-    return kwargs
-
-
-def _reject_wsdb_world_features(spec: ExperimentSpec, traffic_reason: str) -> None:
-    """The scenario features none of the wsdb kinds simulate."""
-    _reject_channel(spec)
+def _reject_world_features(
+    spec: ExperimentSpec, traffic_reason: str, mic_reason: str = _NO_MICS
+) -> None:
+    """The scenario features the measurement and wsdb kinds do not
+    simulate: mics, background pairs, spatial variation, custom traffic."""
+    _reject_mics(spec, mic_reason)
     _reject_backgrounds(spec)
     _reject_spatial(spec)
-    _reject_timeline(spec)
     _reject_custom_traffic(spec, traffic_reason)
-    _reject_mics(
-        spec,
-        "generates its own microphone registrations; "
-        "use citywide_mic_events instead of scenario mics",
-    )
 
 
 #: The probe set every RunResult-producing kind shares.
@@ -360,27 +214,71 @@ def _archive_run(
 # -- world-simulation kinds (engine/medium worlds) -----------------------------
 
 
+@dataclass(frozen=True, kw_only=True)
+class StaticParams(KindParams):
+    """Knobs of kind "static".
+
+    Attributes:
+        channel: the fixed (center_index, width_mhz); the width is one
+            of the WhiteFi widths (5, 10 or 20 MHz).
+        timeline_interval_us: optional throughput sampling period.
+    """
+
+    channel: tuple[int, float]
+    timeline_interval_us: float | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_width("channel width", self.channel[1])
+        check_positive(self, "timeline_interval_us")
+
+
 class StaticKind(RunKind):
     """Foreground BSS fixed on one (F, W) for the whole run."""
 
     name = "static"
     summary = "foreground BSS fixed on one (F, W) channel"
+    params = StaticParams
     probes = _RUN_PROBES
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        if spec.channel is None:
-            raise SimulationError("kind 'static' requires a channel")
         _reject_mics(spec)
-        _reject_foreign_knobs(spec)
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
         config = build_config(spec.scenario)
         run = run_static(
             config,
-            WhiteFiChannel(*spec.channel),
-            timeline_interval_us=spec.timeline_interval_us,
+            WhiteFiChannel(*spec.params.channel),
+            timeline_interval_us=spec.params.timeline_interval_us,
         )
         return {"spec": spec, "run": run}
+
+
+@dataclass(frozen=True, kw_only=True)
+class WhiteFiParams(KindParams):
+    """Knobs of kind "whitefi".
+
+    Attributes:
+        reeval_interval_us: assignment-loop period.
+        hysteresis_margin: voluntary-switch margin (default: the
+            paper's).
+        ap_weight: AP weighting override (None = the paper's N-times
+            rule).
+        aggregation: MCham aggregation ("product"/"min"/"max").
+        timeline_interval_us: optional throughput sampling period.
+    """
+
+    reeval_interval_us: float = 2_000_000.0
+    hysteresis_margin: float = constants.HYSTERESIS_MARGIN
+    ap_weight: float | None = None
+    aggregation: str = "product"
+    timeline_interval_us: float | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_positive(self, "reeval_interval_us", "timeline_interval_us")
+        check_positive(self, "hysteresis_margin", allow_zero=True)
+        _check_choice("aggregation", self.aggregation, AGGREGATIONS)
 
 
 class WhiteFiKind(RunKind):
@@ -388,28 +286,38 @@ class WhiteFiKind(RunKind):
 
     name = "whitefi"
     summary = "adaptive MCham assignment loop with hysteresis"
+    params = WhiteFiParams
     probes = _RUN_PROBES + (MchamTimelineProbe(),)
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        _reject_channel(spec)
         _reject_mics(spec)
-        _reject_foreign_knobs(spec, "hysteresis_margin", "ap_weight")
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
-        config = build_config(spec.scenario)
+        p = spec.params
         run = run_whitefi(
-            config,
-            reeval_interval_us=spec.reeval_interval_us,
-            hysteresis_margin=(
-                constants.HYSTERESIS_MARGIN
-                if spec.hysteresis_margin is None
-                else spec.hysteresis_margin
-            ),
-            ap_weight=spec.ap_weight,
-            aggregation=spec.aggregation,
-            timeline_interval_us=spec.timeline_interval_us,
+            build_config(spec.scenario),
+            reeval_interval_us=p.reeval_interval_us,
+            hysteresis_margin=p.hysteresis_margin,
+            ap_weight=p.ap_weight,
+            aggregation=p.aggregation,
+            timeline_interval_us=p.timeline_interval_us,
         )
         return {"spec": spec, "run": run}
+
+
+@dataclass(frozen=True, kw_only=True)
+class OptParams(KindParams):
+    """Knobs of kind "opt".
+
+    Attributes:
+        probe_duration_us: per-candidate probe length.
+    """
+
+    probe_duration_us: float = 1_500_000.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_positive(self, "probe_duration_us")
 
 
 class OptKind(RunKind):
@@ -417,18 +325,16 @@ class OptKind(RunKind):
 
     name = "opt"
     summary = "omniscient OPT 5/10/20 MHz static baselines"
+    params = OptParams
     probes = _RUN_PROBES + (BaselinesProbe(),)
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        _reject_channel(spec)
         _reject_mics(spec)
-        _reject_timeline(spec)
-        _reject_foreign_knobs(spec)
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
         config = build_config(spec.scenario)
         baselines = run_opt_baselines(
-            config, probe_duration_us=spec.probe_duration_us
+            config, probe_duration_us=spec.params.probe_duration_us
         )
         converted = tuple(
             (name, None if run is None else _archive_run(self, run, spec, name))
@@ -443,11 +349,27 @@ class OptKind(RunKind):
         }
 
 
+@dataclass(frozen=True, kw_only=True)
+class ProtocolParams(KindParams):
+    """Knobs of kind "protocol".
+
+    Attributes:
+        run_until_us: simulation horizon (None = warmup + duration).
+    """
+
+    run_until_us: float | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_positive(self, "run_until_us")
+
+
 class ProtocolKind(RunKind):
     """The full message-level BSS (Section 5.3 / Figure 14)."""
 
     name = "protocol"
     summary = "full BSS protocol: beacons, sensing, chirps, recovery"
+    params = ProtocolParams
     probes = (
         ProtocolGoodputProbe(),
         ProtocolSwitchLogProbe(),
@@ -455,17 +377,14 @@ class ProtocolKind(RunKind):
     )
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        _reject_channel(spec)
         _reject_backgrounds(spec)
-        _reject_timeline(spec)
-        _reject_foreign_knobs(spec, "run_until_us")
         _reject_custom_traffic(
             spec, "uses the BSS's built-in saturating downlink flow"
         )
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
         bss, horizon, boot = run_protocol(
-            spec.scenario, run_until_us=spec.run_until_us
+            spec.scenario, run_until_us=spec.params.run_until_us
         )
         return {
             "spec": spec,
@@ -478,47 +397,64 @@ class ProtocolKind(RunKind):
 # -- measurement kinds (RF-environment worlds) ---------------------------------
 
 
+@dataclass(frozen=True, kw_only=True)
+class DiscoveryParams(KindParams):
+    """Knobs of kind "discovery".
+
+    Attributes:
+        discovery_algorithm: "baseline", "l-sift" or "j-sift".
+    """
+
+    discovery_algorithm: str
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_choice(
+            "discovery algorithm", self.discovery_algorithm, DISCOVERY_ALGORITHMS
+        )
+
+
 class DiscoveryKind(RunKind):
     """AP-discovery races: baseline vs L-SIFT vs J-SIFT (Figures 8-9)."""
 
     name = "discovery"
     summary = "timed AP-discovery race on the scenario's spectrum map"
+    params = DiscoveryParams
     probes = (DiscoveryProbe(),)
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        from repro.core.discovery import DISCOVERY_ALGORITHMS, discovery_algorithm
-        from repro.errors import DiscoveryError
-
-        if spec.discovery_algorithm is None:
-            raise SimulationError(
-                "kind 'discovery' requires discovery_algorithm; one of "
-                f"{tuple(sorted(DISCOVERY_ALGORITHMS))}"
-            )
-        try:
-            # The algorithm registry owns the unknown-name message.
-            discovery_algorithm(spec.discovery_algorithm)
-        except DiscoveryError as err:
-            raise SimulationError(str(err)) from None
-        _reject_channel(spec)
-        _reject_mics(spec)
-        _reject_backgrounds(spec)
-        _reject_spatial(spec)
-        _reject_timeline(spec)
-        _reject_custom_traffic(
+        _reject_world_features(
             spec, "races a lone beaconing AP against a scanning client"
         )
-        _reject_foreign_knobs(spec, "discovery_algorithm")
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
-        from repro.core.discovery import discovery_algorithm
-
         session, ap_channel = ScenarioBuilder(
             spec.scenario
         ).build_discovery_session()
-        outcome = discovery_algorithm(spec.discovery_algorithm).discover(
-            session
-        )
+        outcome = discovery_algorithm(
+            spec.params.discovery_algorithm
+        ).discover(session)
         return {"spec": spec, "outcome": outcome, "ap_channel": ap_channel}
+
+
+@dataclass(frozen=True, kw_only=True)
+class SiftParams(KindParams):
+    """Knobs of kind "sift".
+
+    Attributes:
+        sift_width_mhz: true channel width of the synthesized capture.
+        sift_rate_mbps: iperf injection rate.
+        sift_num_packets: packets per run (default: the paper's 110).
+    """
+
+    sift_width_mhz: float
+    sift_rate_mbps: float
+    sift_num_packets: int = PACKETS_PER_RUN
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_width("sift_width_mhz", self.sift_width_mhz)
+        check_positive(self, "sift_rate_mbps", "sift_num_packets")
 
 
 class SiftKind(RunKind):
@@ -526,58 +462,209 @@ class SiftKind(RunKind):
 
     name = "sift"
     summary = "SIFT accuracy over one synthesized iperf capture"
+    params = SiftParams
     probes = (SiftAccuracyProbe(), SiftConfusionProbe())
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        if spec.sift_width_mhz is None or spec.sift_rate_mbps is None:
-            raise SimulationError(
-                "kind 'sift' requires sift_width_mhz and sift_rate_mbps"
-            )
-        if spec.sift_width_mhz not in constants.CHANNEL_WIDTHS_MHZ:
-            raise SimulationError(
-                f"sift_width_mhz {spec.sift_width_mhz!r} is not a WhiteFi "
-                f"width; expected one of {constants.CHANNEL_WIDTHS_MHZ}"
-            )
-        if spec.sift_rate_mbps <= 0:
-            raise SimulationError(
-                f"sift_rate_mbps must be > 0, got {spec.sift_rate_mbps!r}"
-            )
-        if spec.sift_num_packets is not None and spec.sift_num_packets < 1:
-            raise SimulationError(
-                f"sift_num_packets must be >= 1, got {spec.sift_num_packets!r}"
-            )
-        _reject_channel(spec)
-        _reject_mics(spec)
-        _reject_backgrounds(spec)
-        _reject_spatial(spec)
-        _reject_timeline(spec)
-        _reject_custom_traffic(
-            spec, "synthesizes its own iperf burst schedule"
-        )
-        _reject_foreign_knobs(
-            spec, "sift_width_mhz", "sift_rate_mbps", "sift_num_packets"
-        )
+        _reject_world_features(spec, "synthesizes its own iperf burst schedule")
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
-        from repro.sift.analyzer import SiftAnalyzer
-        from repro.sift.workloads import sift_workload_metrics
-
+        p = spec.params
         trace, bursts, duration_us = ScenarioBuilder(
             spec.scenario
         ).build_sift_capture(
-            spec.sift_width_mhz, spec.sift_rate_mbps, spec.sift_num_packets
+            p.sift_width_mhz, p.sift_rate_mbps, p.sift_num_packets
         )
         scan = SiftAnalyzer().scan(trace)
         workload = sift_workload_metrics(
             # One Data-ACK pair per sent packet is the ground truth.
-            scan, bursts, duration_us, spec.sift_width_mhz, len(bursts) // 2
+            scan, bursts, duration_us, p.sift_width_mhz, len(bursts) // 2
         )
         return {
             "spec": spec,
             "scan": scan,
             "workload": workload,
-            "true_width_mhz": spec.sift_width_mhz,
+            "true_width_mhz": p.sift_width_mhz,
         }
+
+
+# -- wsdb kinds (one metro white-space database) -------------------------------
+#
+# The blocks nest: every wsdb kind runs against the citywide
+# metro deployment, the mobile kinds add a client population, and the
+# cluster kinds add the sharded service tier.
+
+
+def _telemetry_session(params: CitywideParams):
+    """A fresh sim-clock registry when the spec asks for one, else None.
+
+    None keeps the driver's pre-telemetry path byte-identical — the
+    ``telemetry="off"`` parity contract.
+    """
+    return MetricsRegistry() if params.telemetry == "on" else None
+
+
+def _spans_session(params: RoamingParams):
+    """A fresh span recorder when the spec asks for one, else None.
+
+    None keeps the driver's spans-free path byte-identical — the
+    ``spans="off"`` parity contract.
+    """
+    if params.spans != "on":
+        return None
+    return SpanRecorder(sample=params.span_sample)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CitywideParams(KindParams):
+    """Knobs of kind "citywide", shared by every wsdb kind.
+
+    Attributes:
+        citywide_aps: number of APs placed across the metro plane.
+        citywide_extent_km: metro plane edge length (default: the wsdb
+            default, 20 km).
+        citywide_mic_events: mid-session microphone registrations.
+        telemetry: "on" attaches a sim-clock :class:`repro.telemetry`
+            metrics registry to the run and surfaces its snapshot as
+            the result's ``metrics["telemetry"]`` payload; "off" keeps
+            every report byte-identical to the pre-telemetry path.
+            Metrics are deterministic functions of the spec, never of
+            wall-clock time, so they cache and replay like any other
+            result field.
+    """
+
+    citywide_aps: int
+    citywide_extent_km: float = DEFAULT_EXTENT_M / 1_000.0
+    citywide_mic_events: int = 0
+    telemetry: str = "off"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_positive(self, "citywide_aps", "citywide_extent_km")
+        check_positive(self, "citywide_mic_events", allow_zero=True)
+        _check_choice("telemetry mode", self.telemetry, TELEMETRY_MODES)
+
+    @property
+    def extent_m(self) -> float:
+        """The metro plane edge in meters."""
+        return self.citywide_extent_km * 1_000.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class RoamingParams(CitywideParams):
+    """Knobs of kind "roaming": the deployment plus mobile clients.
+
+    Attributes:
+        roaming_clients: mobile clients following seeded waypoint
+            paths.
+        roaming_speed_mps: client speed (default: the mobility
+            default, 14 m/s).
+        roaming_recheck_m: movement granularity of the FCC re-check
+            rule; also sets the database's response cell edge so the
+            protocol and the rule stay aligned (default: the wsdb
+            default, 100 m).
+        engine: the mobile-client engine: "scalar" (the reference
+            per-client loop) or "vector" (the columnar numpy engine,
+            bit-identical reports, scales to millions of clients).
+        spans: "on" attaches a sim-clock
+            :class:`repro.telemetry.spans.SpanRecorder` to the run and
+            surfaces its span table as the result's ``metrics["spans"]``
+            payload (request-scoped trees with tail-latency
+            attribution); "off" keeps every report byte-identical to
+            the spans-free path.
+        span_sample: the deterministic sampling policy when
+            ``spans="on"``: "off" (keep every trace, as does the None
+            default), "head-N" (keep 1-in-N by trace-id hash), or
+            "tail" (keep only traces that waited, i.e. nonzero
+            duration).  Latency bucket counts and the tail threshold
+            always cover *all* served requests; sampling limits only
+            which trees are retained.
+    """
+
+    #: Whether a run without mobile clients is legal.
+    allow_no_clients: ClassVar[bool] = False
+
+    roaming_clients: int
+    roaming_speed_mps: float = DEFAULT_SPEED_MPS
+    roaming_recheck_m: float = DEFAULT_CACHE_RESOLUTION_M
+    engine: str = "scalar"
+    spans: str = "off"
+    span_sample: str | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_positive(
+            self, "roaming_clients", allow_zero=self.allow_no_clients
+        )
+        check_positive(self, "roaming_speed_mps", "roaming_recheck_m")
+        _check_choice("engine", self.engine, ENGINES)
+        _check_choice("spans mode", self.spans, SPANS_MODES)
+        if self.span_sample is not None:
+            if self.spans != "on":
+                raise SimulationError(
+                    f"span_sample requires spans='on' (got spans={self.spans!r})"
+                )
+            parse_span_sample(self.span_sample)
+
+
+@dataclass(frozen=True, kw_only=True)
+class QuerystormParams(RoamingParams):
+    """Knobs of kind "querystorm": the mobile deployment plus a cluster.
+
+    Attributes:
+        roaming_clients: as for "roaming", but 0 (the default, a pure
+            storm) is legal.
+        storm_shards: cell-aligned shard count of the database cluster.
+        storm_offered_qps: synthetic storm load in requests per
+            simulated second.
+        storm_push: register clients for PAWS-style push
+            notifications, closing the pull model's violation window.
+        storm_rate_limit_qps: frontend token-bucket admission rate
+            (None = unlimited, nothing is shed).
+        storm_shed_policy: how over-limit requests are answered:
+            "reject" or "serve-stale".
+        storm_trace: path to a recorded trace (``repro.traces`` JSONL
+            or columnar ``.npz``) whose query stream replaces the
+            synthetic storm generator.  The *path string* participates
+            in ``spec_hash`` (the file's content does not — re-recording
+            over a path invalidates caches manually).
+    """
+
+    allow_no_clients: ClassVar[bool] = True
+
+    roaming_clients: int = 0
+    storm_shards: int
+    storm_offered_qps: float = 0.0
+    storm_push: bool = False
+    storm_rate_limit_qps: float | None = None
+    storm_shed_policy: str = "reject"
+    storm_trace: str | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_positive(self, "storm_shards", "storm_rate_limit_qps")
+        check_positive(self, "storm_offered_qps", allow_zero=True)
+        _check_choice("storm_shed_policy", self.storm_shed_policy, SHED_POLICIES)
+        # Shard-grid feasibility, checked eagerly with the same
+        # geometry the router will use: an infeasible spec must fail
+        # at construction, not mid-fan-out inside a ParallelRunner.
+        cells = cells_per_side(self.extent_m, self.roaming_recheck_m)
+        cols, rows = shard_grid(self.storm_shards)
+        if cols > cells or rows > cells:
+            raise SimulationError(
+                f"storm_shards={self.storm_shards} needs a {cols}x{rows} "
+                f"grid, but the metro has only {cells} response cells per "
+                "axis; lower storm_shards, raise citywide_extent_km, or "
+                "shrink roaming_recheck_m"
+            )
+
+
+@dataclass(frozen=True, kw_only=True)
+class ReplayParams(QuerystormParams):
+    """Knobs of kind "replay": querystorm's, with ``storm_trace``
+    required."""
+
+    storm_trace: str
 
 
 class CitywideKind(RunKind):
@@ -594,35 +681,25 @@ class CitywideKind(RunKind):
 
     name = "citywide"
     summary = "many APs sharing one metro white-space database"
+    params = CitywideParams
     probes = (CitywideProbe(),)
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        _validate_citywide_deployment(spec)
-        _validate_telemetry(spec)
-        _reject_wsdb_world_features(
-            spec, "models AP load analytically via MCham, not packet flows"
-        )
-        _reject_foreign_knobs(
+        _reject_world_features(
             spec,
-            "citywide_aps",
-            "citywide_extent_km",
-            "citywide_mic_events",
-            "telemetry",
+            "models AP load analytically via MCham, not packet flows",
+            _WSDB_MICS,
         )
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
-        from repro.wsdb.citywide import simulate_citywide
-
-        db = ScenarioBuilder(spec.scenario).build_citywide_db(
-            extent_m=_citywide_extent_m(spec)
-        )
+        p = spec.params
         city = simulate_citywide(
-            db,
-            num_aps=spec.citywide_aps,
+            ScenarioBuilder(spec.scenario).build_citywide_db(extent_m=p.extent_m),
+            num_aps=p.citywide_aps,
             duration_us=spec.scenario.duration_us,
             seed=spec.scenario.seed,
-            mic_events=spec.citywide_mic_events or 0,
-            telemetry=_telemetry_session(spec),
+            mic_events=p.citywide_mic_events,
+            telemetry=_telemetry_session(p),
         )
         return {"spec": spec, "city": city}
 
@@ -643,54 +720,33 @@ class RoamingKind(RunKind):
 
     name = "roaming"
     summary = "mobile clients re-querying a metro wsdb as they move"
+    params = RoamingParams
     probes = (RoamingProbe(),)
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        if spec.roaming_clients is None or spec.roaming_clients < 1:
-            raise SimulationError(
-                "kind 'roaming' requires roaming_clients >= 1, "
-                f"got {spec.roaming_clients!r}"
-            )
-        _validate_citywide_deployment(spec)
-        _validate_roaming_clients(spec)
-        _validate_engine(spec)
-        _validate_telemetry(spec)
-        _validate_spans(spec)
-        _reject_wsdb_world_features(
-            spec, "models association and compliance, not packet flows"
-        )
-        _reject_foreign_knobs(
+        _reject_world_features(
             spec,
-            "roaming_clients",
-            "roaming_speed_mps",
-            "roaming_recheck_m",
-            "citywide_aps",
-            "citywide_extent_km",
-            "citywide_mic_events",
-            "engine",
-            "telemetry",
-            "spans",
-            "span_sample",
+            "models association and compliance, not packet flows",
+            _WSDB_MICS,
         )
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
-        from repro.wsdb.mobility import simulate_roaming
-
+        p = spec.params
         db = ScenarioBuilder(spec.scenario).build_citywide_db(
-            extent_m=_citywide_extent_m(spec),
-            cache_resolution_m=spec.roaming_recheck_m,
+            extent_m=p.extent_m, cache_resolution_m=p.roaming_recheck_m
         )
         roaming = simulate_roaming(
             db,
-            num_aps=spec.citywide_aps,
-            num_clients=spec.roaming_clients,
+            num_aps=p.citywide_aps,
+            num_clients=p.roaming_clients,
             duration_us=spec.scenario.duration_us,
             seed=spec.scenario.seed,
-            mic_events=spec.citywide_mic_events or 0,
-            engine=spec.engine or "scalar",
-            telemetry=_telemetry_session(spec),
-            spans=_spans_session(spec),
-            **_roaming_kwargs(spec),
+            speed_mps=p.roaming_speed_mps,
+            recheck_m=p.roaming_recheck_m,
+            mic_events=p.citywide_mic_events,
+            engine=p.engine,
+            telemetry=_telemetry_session(p),
+            spans=_spans_session(p),
         )
         return {"spec": spec, "roaming": roaming}
 
@@ -717,115 +773,43 @@ class QuerystormKind(RunKind):
 
     name = "querystorm"
     summary = "sharded wsdb cluster under a query storm (optional push)"
+    params = QuerystormParams
     probes = (QuerystormProbe(),)
 
     def validate_spec(self, spec: ExperimentSpec) -> None:
-        # Imported lazily like every wsdb reach-down: the cluster
-        # geometry and policy registry own these checks' semantics.
-        from repro.wsdb.cluster.frontend import SHED_POLICIES
-        from repro.wsdb.cluster.router import cells_per_side, shard_grid
-        from repro.wsdb.model import DEFAULT_EXTENT_M
-        from repro.wsdb.service import DEFAULT_CACHE_RESOLUTION_M
-
-        if spec.storm_shards is None or spec.storm_shards < 1:
-            raise SimulationError(
-                f"kind {spec.kind!r} requires storm_shards >= 1, "
-                f"got {spec.storm_shards!r}"
-            )
-        if not _finite_positive(spec.storm_offered_qps, allow_zero=True):
-            raise SimulationError(
-                "storm_offered_qps must be finite and >= 0, "
-                f"got {spec.storm_offered_qps!r}"
-            )
-        if not _finite_positive(spec.storm_rate_limit_qps):
-            raise SimulationError(
-                "storm_rate_limit_qps must be finite and > 0 (or None for "
-                f"unlimited), got {spec.storm_rate_limit_qps!r}"
-            )
-        if (
-            spec.storm_shed_policy is not None
-            and spec.storm_shed_policy not in SHED_POLICIES
-        ):
-            raise SimulationError(
-                f"unknown storm_shed_policy {spec.storm_shed_policy!r}; "
-                f"expected one of {tuple(sorted(SHED_POLICIES))}"
-            )
-        if spec.roaming_clients is not None and spec.roaming_clients < 0:
-            raise SimulationError(
-                f"{spec.kind} roaming_clients must be >= 0, "
-                f"got {spec.roaming_clients!r}"
-            )
-        _validate_citywide_deployment(spec)
-        _validate_roaming_clients(spec)
-        _validate_engine(spec)
-        _validate_telemetry(spec)
-        _validate_spans(spec)
-        # Shard-grid feasibility, checked eagerly with the same
-        # geometry the router will use: an infeasible spec must fail
-        # at construction, not mid-fan-out inside a ParallelRunner.
-        extent_m = _citywide_extent_m(spec) or DEFAULT_EXTENT_M
-        resolution_m = spec.roaming_recheck_m or DEFAULT_CACHE_RESOLUTION_M
-        cells = cells_per_side(extent_m, resolution_m)
-        cols, rows = shard_grid(spec.storm_shards)
-        if cols > cells or rows > cells:
-            raise SimulationError(
-                f"storm_shards={spec.storm_shards} needs a {cols}x{rows} "
-                f"grid, but the metro has only {cells} response cells per "
-                "axis; lower storm_shards, raise citywide_extent_km, or "
-                "shrink roaming_recheck_m"
-            )
-        _reject_wsdb_world_features(
-            spec, "models cluster load and compliance, not packet flows"
-        )
-        _reject_foreign_knobs(
+        _reject_world_features(
             spec,
-            "storm_shards",
-            "storm_offered_qps",
-            "storm_push",
-            "storm_rate_limit_qps",
-            "storm_shed_policy",
-            "roaming_clients",
-            "roaming_speed_mps",
-            "roaming_recheck_m",
-            "citywide_aps",
-            "citywide_extent_km",
-            "citywide_mic_events",
-            "engine",
-            "storm_trace",
-            "telemetry",
-            "spans",
-            "span_sample",
+            "models cluster load and compliance, not packet flows",
+            _WSDB_MICS,
         )
 
     def execute(self, spec: ExperimentSpec) -> Mapping[str, Any]:
-        from repro.wsdb.cluster import simulate_querystorm
-
+        p = spec.params
         router = ScenarioBuilder(spec.scenario).build_wsdb_cluster(
-            num_shards=spec.storm_shards,
-            extent_m=_citywide_extent_m(spec),
-            cache_resolution_m=spec.roaming_recheck_m,
+            num_shards=p.storm_shards,
+            extent_m=p.extent_m,
+            cache_resolution_m=p.roaming_recheck_m,
         )
         storm_source = None
-        if spec.storm_trace is not None:
-            from repro.traces.replay import TraceWorkload
-
-            storm_source = TraceWorkload.open(spec.storm_trace)
+        if p.storm_trace is not None:
+            storm_source = TraceWorkload.open(p.storm_trace)
         storm = simulate_querystorm(
             router,
-            num_aps=spec.citywide_aps,
-            num_clients=spec.roaming_clients or 0,
+            num_aps=p.citywide_aps,
+            num_clients=p.roaming_clients,
             duration_us=spec.scenario.duration_us,
             seed=spec.scenario.seed,
-            offered_qps=spec.storm_offered_qps or 0.0,
-            push=bool(spec.storm_push),
-            mic_events=spec.citywide_mic_events or 0,
-            rate_limit_qps=spec.storm_rate_limit_qps,
-            policy=spec.storm_shed_policy or "reject",
-            engine=spec.engine or "scalar",
+            offered_qps=p.storm_offered_qps,
+            push=p.storm_push,
+            speed_mps=p.roaming_speed_mps,
+            recheck_m=p.roaming_recheck_m,
+            mic_events=p.citywide_mic_events,
+            rate_limit_qps=p.storm_rate_limit_qps,
+            policy=p.storm_shed_policy,
+            engine=p.engine,
             storm_source=storm_source,
-            telemetry=_telemetry_session(spec),
-            spans=_spans_session(spec),
-            **_roaming_kwargs(spec),
+            telemetry=_telemetry_session(p),
+            spans=_spans_session(p),
         )
         return {"spec": spec, "storm": storm}
 
@@ -849,15 +833,8 @@ class ReplayKind(QuerystormKind):
 
     name = "replay"
     summary = "re-drive a recorded storm trace through the wsdb cluster"
+    params = ReplayParams
     probes = (ReplayProbe(),)
-
-    def validate_spec(self, spec: ExperimentSpec) -> None:
-        if not spec.storm_trace:
-            raise SimulationError(
-                "kind 'replay' requires storm_trace (a recorded "
-                f"repro.traces file), got {spec.storm_trace!r}"
-            )
-        super().validate_spec(spec)
 
 
 for _kind in (

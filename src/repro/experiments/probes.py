@@ -421,7 +421,7 @@ class ReplayProbe(QuerystormProbe):
 
     def extract(self, raw: Mapping[str, Any]) -> Mapping[str, Any]:
         metrics = dict(super().extract(raw))
-        metrics["storm_trace"] = raw["spec"].storm_trace
+        metrics["storm_trace"] = raw["spec"].params.storm_trace
         metrics["replayed_queries"] = raw["storm"]["storm_queries"]
         return metrics
 

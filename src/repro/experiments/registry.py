@@ -11,8 +11,12 @@ slice of it runs through the same pipeline::
 A :class:`RunKind` is a registered object owning everything one
 evaluation axis needs:
 
-* **spec validation** (:meth:`RunKind.validate_spec`) — the checks that
-  used to be if/elif branches in ``ExperimentSpec.__post_init__``;
+* **parameters** (:attr:`RunKind.params`) — a frozen :class:`KindParams`
+  dataclass holding exactly the knobs the kind reads; it checks each
+  knob when built, and the registry is the one record of which kinds
+  own which knob;
+* **scenario validation** (:meth:`RunKind.validate_spec`) — rejecting
+  scenario features the kind would silently ignore;
 * **execution** (:meth:`RunKind.execute`) — building a world via
   :class:`~repro.experiments.scenario.ScenarioBuilder` and running it,
   returning a dict of raw artifacts;
@@ -31,6 +35,10 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
+import math
+import types
+import typing
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Protocol
 
 from repro.errors import SimulationError, UnknownRunKindError
@@ -40,9 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec
 
 __all__ = [
+    "KindParams",
     "Probe",
     "RunKind",
     "assemble_result",
+    "build_params",
+    "check_positive",
     "get_run_kind",
     "probe_metrics",
     "register_run_kind",
@@ -71,6 +82,68 @@ class Probe(Protocol):
         ...
 
 
+def _coerce(name: str, hint: Any, value: Any) -> Any:
+    """*value* converted to the annotated type *hint* of knob *name*."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # ``X | None``
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else _coerce(name, inner, value)
+    if value is None:
+        raise SimulationError(f"{name} must not be None")
+    try:
+        if origin is tuple:
+            if len(value) != len(args):
+                raise ValueError(f"expected {len(args)} items, got {value!r}")
+            return tuple(_coerce(name, a, v) for a, v in zip(args, value))
+        return hint(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise SimulationError(f"bad {name}: {err}") from None
+
+
+def check_positive(params: Any, *names: str, allow_zero: bool = False) -> None:
+    """Reject each named knob unless it is None or finite and > 0.
+
+    With *allow_zero* the bound is >= 0.  Non-finite values fail here,
+    at spec build, instead of hanging a run or skewing it silently.
+    """
+    for name in names:
+        value = getattr(params, name)
+        if value is not None and not (
+            math.isfinite(value) and (value > 0 or (allow_zero and value == 0))
+        ):
+            bound = ">= 0" if allow_zero else "> 0"
+            raise SimulationError(
+                f"{name} must be finite and {bound}, got {value!r}"
+            )
+
+
+@functools.cache
+def _type_hints(cls: type) -> dict[str, Any]:
+    # Resolving string annotations dominates block construction.
+    return typing.get_type_hints(cls)
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class KindParams:
+    """A run kind's parameter block: exactly the knobs it reads.
+
+    Subclasses are frozen ``kw_only`` dataclasses.  Construction first
+    converts every field to its annotated type, so equivalent spellings
+    (5 vs 5.0, a JSON list vs a tuple) share one canonical JSON form
+    and therefore one ``spec_hash``; a subclass ``__post_init__`` then
+    calls ``super().__post_init__()`` and checks its own knobs, raising
+    :class:`SimulationError`.  A field without a default is a knob the
+    kind requires.  This base has no fields: the block of a kind with
+    no knobs.
+    """
+
+    def __post_init__(self) -> None:
+        hints = _type_hints(type(self))
+        for f in dataclasses.fields(self):
+            value = _coerce(f.name, hints[f.name], getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+
+
 class RunKind(abc.ABC):
     """One pluggable experiment kind (an axis of the evaluation matrix).
 
@@ -80,20 +153,25 @@ class RunKind(abc.ABC):
         name: the spec's ``kind`` string (registry key).
         summary: one line for docs and error messages — what the kind
             simulates.
+        params: the :class:`KindParams` subclass holding the knobs
+            :meth:`execute` reads from ``spec.params``.  The default
+            empty block suits a kind with no knobs; any knob given to
+            such a kind is rejected.
         probes: metric extractors applied to :meth:`execute`'s artifacts.
     """
 
     name: ClassVar[str]
     summary: ClassVar[str] = ""
+    params: ClassVar[type[KindParams]] = KindParams
     probes: ClassVar[tuple[Probe, ...]] = ()
 
     def validate_spec(self, spec: "ExperimentSpec") -> None:
-        """Reject spec/kind combinations this kind would silently ignore.
+        """Reject scenario features this kind would silently ignore.
 
-        Called from ``ExperimentSpec.__post_init__`` after generic
-        normalization; raise :class:`SimulationError` on any scenario
-        feature or tuning knob the kind does not consume where intent
-        is unambiguous.
+        Called from the ``ExperimentSpec`` constructor once the
+        parameter block is built (knob checks live in the block);
+        raise :class:`SimulationError` on any scenario feature the kind
+        does not simulate where intent is unambiguous.
         """
 
     @abc.abstractmethod
@@ -141,6 +219,9 @@ def _ensure_builtins() -> None:
 
 def register_run_kind(kind: RunKind) -> RunKind:
     """Register *kind* under ``kind.name``; returns it for chaining.
+
+    The fields of ``kind.params`` become knobs the registry attributes
+    to the kind: specs of other kinds name it as their owner.
 
     Raises:
         SimulationError: when the name is empty or already registered —
@@ -190,6 +271,48 @@ def get_run_kind(name: str) -> RunKind:
         raise UnknownRunKindError(
             f"unknown run kind {name!r}; expected one of {run_kind_names()}"
         ) from None
+
+
+def _knob_names(kind: RunKind) -> frozenset[str]:
+    return frozenset(f.name for f in dataclasses.fields(kind.params))
+
+
+def build_params(kind: str, knobs: Mapping[str, Any]) -> KindParams:
+    """*kind*'s parameter block from flat keyword knobs.
+
+    A knob given as None counts as not given (the block default).
+
+    Raises:
+        SimulationError: for a knob no registered kind owns, a knob
+            owned only by other kinds (the message names its owners),
+            or a required knob left out.
+    """
+    run_kind = get_run_kind(kind)
+    owned = _knob_names(run_kind)
+    owners = {
+        knob: [n for n in run_kind_names() if knob in _knob_names(_REGISTRY[n])]
+        for knob in sorted(set(knobs) - owned)
+    }
+    unknown = [knob for knob, names in owners.items() if not names]
+    if unknown:
+        raise SimulationError(f"unknown experiment spec fields: {unknown}")
+    given = {k: v for k, v in knobs.items() if v is not None}
+    for knob, names in owners.items():
+        if knob in given:
+            raise SimulationError(
+                f"kind {kind!r} does not use {knob}; it only applies to "
+                f"kind {' / '.join(repr(n) for n in names)}"
+            )
+    missing = [
+        f.name
+        for f in dataclasses.fields(run_kind.params)
+        if f.name not in given
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise SimulationError(f"kind {kind!r} requires {' and '.join(missing)}")
+    return run_kind.params(**given)
 
 
 # -- execution -----------------------------------------------------------------

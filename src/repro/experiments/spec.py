@@ -18,10 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from repro.errors import SimulationError
+from repro.experiments.registry import (
+    KindParams,
+    build_params,
+    get_run_kind,
+    run_kind_names,
+)
 
 __all__ = [
     "BackgroundPoolSpec",
@@ -37,12 +43,9 @@ __all__ = [
 
 def __getattr__(name: str):
     # RUN_KINDS is derived from the RunKind registry (the single source
-    # of truth), so plugin registrations show up here too.  Resolved
-    # lazily (PEP 562) because the registry's built-ins import this
-    # module.
+    # of truth), so plugin registrations show up here too.  Resolved on
+    # access (PEP 562): the built-ins register on first registry use.
     if name == "RUN_KINDS":
-        from repro.experiments.registry import run_kind_names
-
         return run_kind_names()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -256,201 +259,54 @@ class ScenarioSpec:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExperimentSpec:
     """A scenario plus what to run on it.
 
     Attributes:
         scenario: the environment.
-        kind: a registered run kind — built-ins: "whitefi" (adaptive
-            assignment loop), "static" (fixed channel), "opt" (all four
-            omniscient static baselines), "protocol" (full BSS with
-            beacons/chirps/disconnections), "discovery" (timed AP
-            discovery race), "sift" (SIFT accuracy over a synthesized
-            capture), "citywide" (many APs sharing one metro
-            white-space database), "roaming" (mobile clients
-            re-querying the database under the 100 m re-check rule),
-            "querystorm" (a sharded database cluster under storm load,
-            with optional PAWS-style push).
-        channel: (center_index, width_mhz) for kind "static".
-        reeval_interval_us: WhiteFi assignment-loop period.
-        hysteresis_margin: voluntary-switch margin override (None =
-            paper default).
-        ap_weight: AP weighting override (None = paper's N-times rule).
-        aggregation: MCham aggregation ("product"/"min"/"max").
-        timeline_interval_us: optional throughput sampling period.
-        probe_duration_us: per-candidate probe length for kind "opt".
-        run_until_us: simulation horizon for kind "protocol" (None =
-            warmup + duration).
-        discovery_algorithm: kind "discovery" — "baseline", "l-sift",
-            or "j-sift".
-        sift_width_mhz: kind "sift" — true channel width of the
-            synthesized capture.
-        sift_rate_mbps: kind "sift" — iperf injection rate.
-        sift_num_packets: kind "sift" — packets per run (None = the
-            paper's 110).
-        citywide_aps: kinds "citywide"/"roaming"/"querystorm" — number
-            of APs placed across the metro plane.
-        citywide_extent_km: kinds "citywide"/"roaming"/"querystorm" —
-            metro plane edge length (None = the wsdb default, 20 km).
-        citywide_mic_events: kinds "citywide"/"roaming"/"querystorm" —
-            mid-session microphone registrations (None = 0).
-        roaming_clients: kinds "roaming"/"querystorm" — mobile clients
-            following seeded waypoint paths.
-        roaming_speed_mps: kinds "roaming"/"querystorm" — client speed
-            (None = the mobility default, 14 m/s).
-        roaming_recheck_m: kinds "roaming"/"querystorm" — movement
-            granularity of the FCC re-check rule; also sets the
-            database's response cell edge so the protocol and the rule
-            stay aligned (None = the wsdb default, 100 m).
-        storm_shards: kind "querystorm" — cell-aligned shard count of
-            the database cluster.
-        storm_offered_qps: kind "querystorm" — synthetic storm load in
-            requests per simulated second (None = 0, no storm).
-        storm_push: kind "querystorm" — register clients for
-            PAWS-style push notifications, closing the pull model's
-            violation window (None = False, pull-only).
-        storm_rate_limit_qps: kind "querystorm" — frontend token-bucket
-            admission rate (None = unlimited, nothing is shed).
-        storm_shed_policy: kind "querystorm" — how over-limit requests
-            are answered: "reject" or "serve-stale" (None = "reject").
-        engine: kinds "roaming"/"querystorm" — the mobile-client
-            engine: "scalar" (the reference per-client loop) or
-            "vector" (the columnar numpy engine, bit-identical reports,
-            scales to millions of clients).  None = "scalar".
-        storm_trace: kinds "querystorm"/"replay" — path to a recorded
-            trace (``repro.traces`` JSONL or columnar ``.npz``) whose
-            query stream replaces the synthetic storm generator;
-            required by "replay".  The *path string* participates in
-            ``spec_hash`` (the file's content does not — re-recording
-            over a path invalidates caches manually).
-        telemetry: kinds "citywide"/"roaming"/"querystorm"/"replay" —
-            "on" attaches a sim-clock :class:`repro.telemetry`
-            metrics registry to the run and surfaces its snapshot as
-            the result's ``metrics["telemetry"]`` payload; "off" (the
-            None default) keeps every report byte-identical to the
-            pre-telemetry path.  Metrics are deterministic functions
-            of the spec, never of wall-clock time, so they cache and
-            replay like any other result field.
-        spans: kinds "roaming"/"querystorm"/"replay" — "on" attaches a
-            sim-clock :class:`repro.telemetry.spans.SpanRecorder` to
-            the run and surfaces its span table as the result's
-            ``metrics["spans"]`` payload (request-scoped trees with
-            tail-latency attribution); "off" (the None default) keeps
-            every report byte-identical to the spans-free path.
-        span_sample: kinds "roaming"/"querystorm"/"replay" — the
-            deterministic sampling policy when ``spans="on"``: "off"
-            (keep every trace, the default), "head-N" (keep 1-in-N by
-            trace-id hash), or "tail" (keep only traces that waited,
-            i.e. nonzero duration).  Latency bucket counts and the
-            tail threshold always cover *all* served requests; sampling
-            limits only which trees are retained.
+        kind: a registered run kind; the built-ins are listed in
+            :mod:`repro.experiments.kinds`.
+        params: the kind's parameter block, an instance of
+            ``get_run_kind(kind).params`` holding exactly the knobs the
+            kind reads (documented on each block).
 
-    The kind is resolved through the
-    :mod:`~repro.experiments.registry` and validation is delegated to
-    the kind object itself (``RunKind.validate_spec``): each kind
-    rejects combinations it would silently ignore where intent is
-    unambiguous (mics outside protocol runs, a fixed channel outside
-    static runs, ...).  Tuning knobs with non-None defaults
-    (``reeval_interval_us``, ``probe_duration_us``, ...) are consulted
-    only by their own kind and left untouched otherwise, so one
-    scenario template can be re-used across kinds; note the unused
-    values still participate in ``spec_hash``.
+    Knobs are usually given flat::
+
+        ExperimentSpec(scenario, kind="sift", sift_width_mhz=10.0,
+                       sift_rate_mbps=1.0)
+
+    The constructor resolves the kind (an unknown kind raises, listing
+    the registered names), rejects a knob the kind does not own (naming
+    the kinds that do, as the registry records them), builds the block
+    (which checks each knob), and lets the kind reject scenario
+    features it would silently ignore (``RunKind.validate_spec``).  A
+    knob given as None counts as not given.  A ready block may be
+    passed as ``params=`` instead of flat knobs.
     """
 
     scenario: ScenarioSpec
-    kind: str = "whitefi"
-    channel: tuple[int, float] | None = None
-    reeval_interval_us: float = 2_000_000.0
-    hysteresis_margin: float | None = None
-    ap_weight: float | None = None
-    aggregation: str = "product"
-    timeline_interval_us: float | None = None
-    probe_duration_us: float = 1_500_000.0
-    run_until_us: float | None = None
-    discovery_algorithm: str | None = None
-    sift_width_mhz: float | None = None
-    sift_rate_mbps: float | None = None
-    sift_num_packets: int | None = None
-    citywide_aps: int | None = None
-    citywide_extent_km: float | None = None
-    citywide_mic_events: int | None = None
-    roaming_clients: int | None = None
-    roaming_speed_mps: float | None = None
-    roaming_recheck_m: float | None = None
-    storm_shards: int | None = None
-    storm_offered_qps: float | None = None
-    storm_push: bool | None = None
-    storm_rate_limit_qps: float | None = None
-    storm_shed_policy: str | None = None
-    engine: str | None = None
-    storm_trace: str | None = None
-    telemetry: str | None = None
-    spans: str | None = None
-    span_sample: str | None = None
+    kind: str
+    params: KindParams
 
-    def __post_init__(self) -> None:
-        # Resolve the kind first: unknown kinds raise here, listing the
-        # registered names sorted.
-        from repro.experiments.registry import get_run_kind
-
-        run_kind = get_run_kind(self.kind)
-        if self.channel is not None:
-            center, width = self.channel
-            object.__setattr__(self, "channel", (int(center), float(width)))
-        # Normalize numeric kind knobs so equivalent spellings (5 vs
-        # 5.0) share one canonical JSON form and therefore one
-        # spec_hash / cache key.
-        if self.sift_width_mhz is not None:
-            object.__setattr__(self, "sift_width_mhz", float(self.sift_width_mhz))
-        if self.sift_rate_mbps is not None:
-            object.__setattr__(self, "sift_rate_mbps", float(self.sift_rate_mbps))
-        if self.sift_num_packets is not None:
-            object.__setattr__(
-                self, "sift_num_packets", int(self.sift_num_packets)
+    def __init__(
+        self,
+        scenario: ScenarioSpec,
+        kind: str = "whitefi",
+        params: KindParams | None = None,
+        **knobs: Any,
+    ) -> None:
+        run_kind = get_run_kind(kind)
+        if params is None:
+            params = build_params(kind, knobs)
+        elif knobs or type(params) is not run_kind.params:
+            raise SimulationError(
+                f"kind {kind!r} takes params as one "
+                f"{run_kind.params.__name__} block and no flat knobs"
             )
-        if self.citywide_aps is not None:
-            object.__setattr__(self, "citywide_aps", int(self.citywide_aps))
-        if self.citywide_extent_km is not None:
-            object.__setattr__(
-                self, "citywide_extent_km", float(self.citywide_extent_km)
-            )
-        if self.citywide_mic_events is not None:
-            object.__setattr__(
-                self, "citywide_mic_events", int(self.citywide_mic_events)
-            )
-        if self.roaming_clients is not None:
-            object.__setattr__(self, "roaming_clients", int(self.roaming_clients))
-        if self.roaming_speed_mps is not None:
-            object.__setattr__(
-                self, "roaming_speed_mps", float(self.roaming_speed_mps)
-            )
-        if self.roaming_recheck_m is not None:
-            object.__setattr__(
-                self, "roaming_recheck_m", float(self.roaming_recheck_m)
-            )
-        if self.storm_shards is not None:
-            object.__setattr__(self, "storm_shards", int(self.storm_shards))
-        if self.storm_offered_qps is not None:
-            object.__setattr__(
-                self, "storm_offered_qps", float(self.storm_offered_qps)
-            )
-        if self.storm_push is not None:
-            object.__setattr__(self, "storm_push", bool(self.storm_push))
-        if self.storm_rate_limit_qps is not None:
-            object.__setattr__(
-                self, "storm_rate_limit_qps", float(self.storm_rate_limit_qps)
-            )
-        if self.engine is not None:
-            object.__setattr__(self, "engine", str(self.engine))
-        if self.storm_trace is not None:
-            object.__setattr__(self, "storm_trace", str(self.storm_trace))
-        if self.telemetry is not None:
-            object.__setattr__(self, "telemetry", str(self.telemetry))
-        if self.spans is not None:
-            object.__setattr__(self, "spans", str(self.spans))
-        if self.span_sample is not None:
-            object.__setattr__(self, "span_sample", str(self.span_sample))
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
         run_kind.validate_spec(self)
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
@@ -460,19 +316,17 @@ class ExperimentSpec:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """A plain-data representation (JSON-compatible)."""
-        return asdict(self)
+        """Plain data: ``scenario``, ``kind`` and the kind's knobs."""
+        return {
+            "scenario": self.scenario.to_dict(),
+            "kind": self.kind,
+            **asdict(self.params),
+        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         """Rebuild a spec from :meth:`to_dict` output (or parsed JSON)."""
         data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise SimulationError(
-                f"unknown experiment spec fields: {sorted(unknown)}"
-            )
         data["scenario"] = ScenarioSpec.from_dict(data["scenario"])
         return cls(**data)
 

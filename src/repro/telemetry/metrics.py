@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: The values the ``telemetry`` experiment-spec knob accepts.  "off"
-#: (and the None default) runs the byte-identical pre-telemetry path;
+#: (the default) runs the byte-identical pre-telemetry path;
 #: "on" attaches a fresh :class:`MetricsRegistry` to the run and adds a
 #: ``telemetry`` snapshot to the report.
 TELEMETRY_MODES = ("off", "on")

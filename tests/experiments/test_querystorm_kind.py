@@ -205,7 +205,7 @@ class TestExecution:
         clone = ExperimentSpec.from_json(spec.to_json())
         assert clone == spec
         assert clone.spec_hash == spec.spec_hash
-        assert clone.storm_offered_qps == 120.0
+        assert clone.params.storm_offered_qps == 120.0
 
     def test_deterministic_per_seed(self):
         a = run_experiment(storm_spec())
@@ -232,7 +232,7 @@ class TestExecution:
 
 class TestEngineKnob:
     def test_engine_accepted(self):
-        assert storm_spec(engine="vector").engine == "vector"
+        assert storm_spec(engine="vector").params.engine == "vector"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError, match="unknown engine"):

@@ -41,27 +41,27 @@ def replay_spec(trace_path, **overrides) -> ExperimentSpec:
 @pytest.fixture
 def recorded_trace(tmp_path):
     """A trace recorded from the run the querystorm kind would execute."""
-    from repro.experiments.kinds import _citywide_extent_m, _roaming_kwargs
-
     spec = ExperimentSpec(kind="querystorm", **storm_knobs())
+    params = spec.params
     router = ScenarioBuilder(spec.scenario).build_wsdb_cluster(
-        num_shards=spec.storm_shards,
-        extent_m=_citywide_extent_m(spec),
-        cache_resolution_m=spec.roaming_recheck_m,
+        num_shards=params.storm_shards,
+        extent_m=params.extent_m,
+        cache_resolution_m=params.roaming_recheck_m,
     )
     path = tmp_path / "storm.jsonl.gz"
     with TraceRecorder(path) as recorder:
         simulate_querystorm(
             router,
-            num_aps=spec.citywide_aps,
-            num_clients=spec.roaming_clients,
+            num_aps=params.citywide_aps,
+            num_clients=params.roaming_clients,
             duration_us=spec.scenario.duration_us,
             seed=spec.scenario.seed,
-            offered_qps=spec.storm_offered_qps,
+            offered_qps=params.storm_offered_qps,
             push=True,
-            mic_events=spec.citywide_mic_events,
+            speed_mps=params.roaming_speed_mps,
+            recheck_m=params.roaming_recheck_m,
+            mic_events=params.citywide_mic_events,
             recorder=recorder,
-            **_roaming_kwargs(spec),
         )
     return path
 

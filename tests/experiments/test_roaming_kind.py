@@ -164,9 +164,9 @@ class TestExecution:
 
 class TestEngineKnob:
     def test_engine_accepted_and_normalized(self):
-        assert roaming_spec(engine="vector").engine == "vector"
-        assert roaming_spec(engine="scalar").engine == "scalar"
-        assert roaming_spec().engine is None
+        assert roaming_spec(engine="vector").params.engine == "vector"
+        assert roaming_spec(engine="scalar").params.engine == "scalar"
+        assert roaming_spec().params.engine == "scalar"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError, match="unknown engine"):

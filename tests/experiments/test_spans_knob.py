@@ -3,9 +3,9 @@
 The knobs are owned by the roaming, querystorm, and replay kinds.
 ``spans="on"`` attaches a sim-clock :class:`SpanRecorder` to the run
 and surfaces its table under the ``"spans"`` metrics key; ``"off"``
-and the default ``None`` leave every result byte-identical to a
-pre-spans run.  ``span_sample`` refines ``spans="on"`` with a
-deterministic sampling policy and is rejected without it.
+(the default) leaves every result byte-identical to a pre-spans run.
+``span_sample`` refines ``spans="on"`` with a deterministic sampling
+policy and is rejected without it.
 """
 
 import pytest
@@ -56,7 +56,7 @@ def roaming_spec(**overrides) -> ExperimentSpec:
 class TestValidation:
     def test_modes_accepted(self):
         for mode in (None, "off", "on"):
-            assert storm_spec(spans=mode).spans == mode
+            assert storm_spec(spans=mode).params.spans == (mode or "off")
 
     def test_bogus_mode_rejected(self):
         with pytest.raises(SimulationError, match="spans"):
@@ -65,7 +65,7 @@ class TestValidation:
     @pytest.mark.parametrize("sample", ["off", "head-2", "head-16", "tail"])
     def test_sample_values_accepted(self, sample):
         spec = storm_spec(spans="on", span_sample=sample)
-        assert spec.span_sample == sample
+        assert spec.params.span_sample == sample
 
     def test_sample_requires_spans_on(self):
         with pytest.raises(SimulationError, match="span_sample"):

@@ -244,8 +244,8 @@ class TestSiftKindSpec:
 
 
 class TestForeignKnobOwnership:
-    # Every knob with a None default states intent when set; a kind
-    # that would silently ignore it must reject it.
+    # Every knob states intent when set; a kind that would silently
+    # ignore it must reject it.
     def test_run_until_us_only_for_protocol(self):
         with pytest.raises(SimulationError, match="run_until_us"):
             ExperimentSpec(
@@ -266,7 +266,7 @@ class TestForeignKnobOwnership:
         spec = ExperimentSpec(
             plain_scenario(), kind="whitefi", hysteresis_margin=0.0, ap_weight=2.0
         )
-        assert spec.hysteresis_margin == 0.0
+        assert spec.params.hysteresis_margin == 0.0
 
 
 def test_custom_traffic_rejected_in_protocol_runs():

@@ -3,8 +3,8 @@
 The knob is owned by the citywide, roaming, querystorm, and replay
 kinds.  ``"on"`` attaches a sim-clock :class:`MetricsRegistry` to the
 run and surfaces its snapshot under the ``"telemetry"`` metrics key;
-``"off"`` and the default ``None`` leave every result byte-identical
-to a pre-telemetry run.
+``"off"`` (the default) leaves every result byte-identical to a
+pre-telemetry run.
 """
 
 import pytest
@@ -54,7 +54,7 @@ def roaming_spec(**overrides) -> ExperimentSpec:
 class TestValidation:
     def test_modes_accepted(self):
         for mode in (None, "off", "on"):
-            assert storm_spec(telemetry=mode).telemetry == mode
+            assert storm_spec(telemetry=mode).params.telemetry == (mode or "off")
 
     def test_bogus_mode_rejected(self):
         with pytest.raises(SimulationError, match="telemetry"):
