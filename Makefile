@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: check test fast bench bench-smoke bench-trend examples perfbench-check trace-diff profile lint detlint detlint-report
+.PHONY: check test fast bench bench-smoke bench-trend examples perfbench-check trace-diff profile lint detlint detlint-report loc
 
 ## The tier-1 gate: full unit suite + lint + determinism linter.
 check: test lint detlint
@@ -94,6 +94,13 @@ trace-diff:
 detlint:
 	PYTHONPATH=$(PYTHONPATH) python -m repro.detlint \
 	    --out benchmarks/results/detlint.json
+
+## Code lines per file (docstrings, comments and blank lines excluded)
+## and the totals for src/repro/wsdb and src/repro/experiments — the
+## size ROADMAP's "same reports from less code" aim is measured in.
+## Reports only; never gates.
+loc:
+	python scripts/loc.py src/repro/wsdb src/repro/experiments
 
 ## Per-rule / per-package suppression-debt tables (never gates).
 detlint-report:

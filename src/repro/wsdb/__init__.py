@@ -12,9 +12,11 @@ missing layer as a deterministic, seedable simulation component:
   :mod:`repro.spectrum.geodata` locale settings).
 * :mod:`repro.wsdb.index` — a uniform-grid spatial index answering
   point availability queries without scanning every incumbent.
-* :mod:`repro.wsdb.service` — :class:`WhiteSpaceDatabase`: the query
-  façade with a TTL + LRU response cache, mic-registration
-  invalidation, and query/hit/miss counters.
+* :mod:`repro.wsdb.service` — :class:`AvailabilityService`, the query
+  surface derived from one primitive (``channels_in_cells``), and
+  :class:`WhiteSpaceDatabase`, its cached implementation: a TTL + LRU
+  response cache, mic-registration invalidation, and query/hit/miss
+  counters.
 * :mod:`repro.wsdb.citywide` — the city-scale workload driver behind
   the ``citywide`` run kind: many APs assigning channels off database
   responses via MCham, with backup-channel recovery on mic events.
@@ -29,8 +31,8 @@ missing layer as a deterministic, seedable simulation component:
   reports, scales to millions of clients.
 * :mod:`repro.wsdb.cluster` — the service tier: ``ShardRouter`` (K
   cell-aligned shards, each its own database), ``BatchFrontend``
-  (per-shard batching, token-bucket admission, pluggable shed
-  policies), ``PushRegistry`` (PAWS-style zone notifications), and the
+  (per-shard batching, token-bucket admission, ``reject`` /
+  ``serve-stale`` shedding), ``PushRegistry`` (PAWS-style zone notifications), and the
   ``querystorm`` workload driver.
 * :mod:`repro.wsdb.observe` — :class:`~repro.wsdb.observe.RunObserver`,
   the one seam through which the drivers feed a run's trace recorder,

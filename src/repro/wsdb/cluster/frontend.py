@@ -8,21 +8,23 @@ shape of traffic:
 
 * **Coalescing.**  A burst handed to :meth:`query_batch` is grouped by
   owning shard and deduplicated by quantization cell before any shard
-  is touched: N requests in one cell become one shard lookup whose
-  response every requester shares (the counters record how many
-  requests coalesced away).  Each shard then sees one batched call per
-  burst, not one call per request.
+  is touched: N requests in one cell become one lookup whose response
+  every requester shares (the counters record how many requests
+  coalesced away).  Each touched shard then answers its distinct cells
+  in one ``channels_in_cells`` call — the service tier's one lookup
+  primitive — so a shard sees one call per burst, not one per request.
 * **Token-bucket rate limiting.**  The frontend admits requests against
   a bucket refilled at ``rate_limit_qps`` (burst capacity
   ``burst_size``), clocked by *simulation* time — admission is a pure
   function of the request sequence, preserving the byte-identical
   parallel/sequential contract.
-* **Pluggable shed policies.**  An over-limit request is *shed* through
-  a policy: ``"reject"`` returns None (the device keeps its stale
-  response and retries — the deferral the querystorm driver counts),
-  ``"serve-stale"`` answers from the frontend's last-known response for
-  the cell, trading admission for availability.  Policies register in
-  :data:`SHED_POLICIES`; a load-balancer experiment can plug its own.
+* **Shedding.**  An over-limit request is *shed* under one of the two
+  :data:`SHED_POLICIES`: ``"reject"`` returns None (the device keeps
+  its stale response and retries — the deferral the querystorm driver
+  counts), ``"serve-stale"`` answers from the frontend's last-known
+  response for the cell, trading admission for availability (and
+  refuses too when the cell has no response from the current TTL
+  bucket).
 
 The stale store honors the response protocol's own validity contract:
 entries are stamped with their TTL bucket and served only inside it
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.errors import SimulationError, SpectrumMapError
 from repro.wsdb.cluster.push import PushRegistry
@@ -49,12 +51,8 @@ from repro.wsdb.service import ttl_bucket
 __all__ = [
     "BatchFrontend",
     "FrontendStats",
-    "RejectPolicy",
     "SHED_POLICIES",
-    "ServeStalePolicy",
-    "ShedPolicy",
     "TokenBucket",
-    "shed_policy",
 ]
 
 
@@ -126,8 +124,9 @@ class FrontendStats:
         coalesced: admitted requests answered by another request's
             shard lookup in the same batch (deduplicated by cell).
         batches: :meth:`BatchFrontend.query_batch` invocations.
-        shard_batches: per-shard batched calls issued (at most one per
-            shard per batch — the fan-in the batching exists for).
+        shard_batches: shard ``channels_in_cells`` calls issued (one
+            per touched shard per batch — the fan-in the batching
+            exists for).
     """
 
     requests: int = 0
@@ -157,64 +156,9 @@ class FrontendStats:
         }
 
 
-class ShedPolicy(Protocol):
-    """How the frontend answers an over-limit request."""
-
-    name: str
-
-    def shed(
-        self, frontend: "BatchFrontend", qx: int, qy: int
-    ) -> tuple[int, ...] | None:
-        """The response for a shed request at cell (qx, qy), or None."""
-        ...
-
-
-class RejectPolicy:
-    """Shed by refusal: the requester gets None and must retry later."""
-
-    name = "reject"
-
-    def shed(
-        self, frontend: "BatchFrontend", qx: int, qy: int
-    ) -> tuple[int, ...] | None:
-        return None
-
-
-class ServeStalePolicy:
-    """Shed by degrading: answer from the last-known cell response.
-
-    Falls back to refusal when the cell was never served in the
-    current TTL bucket (a cold or expired cell has nothing still-valid
-    to offer).
-    """
-
-    name = "serve-stale"
-
-    def shed(
-        self, frontend: "BatchFrontend", qx: int, qy: int
-    ) -> tuple[int, ...] | None:
-        stale = frontend.stale_response(qx, qy)
-        if stale is not None:
-            frontend.stats.served_stale += 1
-        return stale
-
-
-#: Registered shed policies by name; plug new ones in directly.
-SHED_POLICIES: dict[str, type] = {
-    RejectPolicy.name: RejectPolicy,
-    ServeStalePolicy.name: ServeStalePolicy,
-}
-
-
-def shed_policy(name: str) -> ShedPolicy:
-    """Instantiate a registered shed policy by name."""
-    try:
-        return SHED_POLICIES[name]()
-    except KeyError:
-        raise SimulationError(
-            f"unknown shed policy {name!r}; "
-            f"expected one of {tuple(sorted(SHED_POLICIES))}"
-        ) from None
+#: The shed policies :class:`BatchFrontend` accepts (see the module
+#: docstring for what each answers).
+SHED_POLICIES = ("reject", "serve-stale")
 
 
 class BatchFrontend:
@@ -224,7 +168,7 @@ class BatchFrontend:
         router: the shard tier answering admitted requests.
         rate_limit_qps: token-bucket refill rate (None: no limiting).
         burst_size: token-bucket capacity (None: one second's refill).
-        policy: shed-policy name from :data:`SHED_POLICIES`.
+        policy: shed-policy name, one of :data:`SHED_POLICIES`.
         push: optional :class:`PushRegistry` notified on
             :meth:`register_mic` (its cell resolution must match the
             router's).
@@ -242,7 +186,7 @@ class BatchFrontend:
         router: ShardRouter,
         rate_limit_qps: float | None = None,
         burst_size: float | None = None,
-        policy: str = RejectPolicy.name,
+        policy: str = "reject",
         push: PushRegistry | None = None,
     ):
         if push is not None and (
@@ -255,7 +199,12 @@ class BatchFrontend:
             )
         self.router = router
         self.bucket = TokenBucket(rate_limit_qps, burst_size)
-        self.policy = shed_policy(policy)
+        if policy not in SHED_POLICIES:
+            raise SimulationError(
+                f"unknown shed policy {policy!r}; "
+                f"expected one of {SHED_POLICIES}"
+            )
+        self.policy = policy
         self.push = push
         self.stats = FrontendStats()
         # cell -> (TTL bucket the response was computed in, channels).
@@ -337,20 +286,31 @@ class BatchFrontend:
         lookups: dict[tuple[int, int], tuple[int, bool, int]] = {}
         responses: dict[tuple[int, int], tuple[int, ...]] = {}
         for shard_id in sorted(by_shard):
-            self.stats.shard_batches += 1
             shard = self.router.shards[shard_id]
-            for cell in by_shard[shard_id]:
-                responses[cell] = shard.channels_in_cell(*cell, t_us)
-                lookups[cell] = (shard_id, *shard.last_outcomes[0])
+            cells = by_shard[shard_id]
+            answers = shard.channels_in_cells(cells, t_us)
+            for cell, channels, outcome in zip(
+                cells, answers, shard.last_outcomes
+            ):
+                responses[cell] = channels
+                lookups[cell] = (shard_id, *outcome)
+        self.stats.shard_batches += len(by_shard)
         self.last_lookups = lookups
         for cell, channels in responses.items():
             self._stale[cell] = (self._bucket_now, channels)
-        # Pass 4: answer in request order; shed requests go through the
-        # policy (which may read the just-refreshed stale store).
-        return [
-            responses[cell] if admitted else self.policy.shed(self, *cell)
-            for cell, admitted in plan
-        ]
+        # Pass 4: answer in request order.  A shed request gets None,
+        # or under serve-stale the just-refreshed stale response.
+        serve_stale = self.policy == "serve-stale"
+        results: list[tuple[int, ...] | None] = []
+        for cell, admitted in plan:
+            if admitted:
+                results.append(responses[cell])
+                continue
+            stale = self.stale_response(*cell) if serve_stale else None
+            if stale is not None:
+                self.stats.served_stale += 1
+            results.append(stale)
+        return results
 
     def query(
         self, x_m: float, y_m: float, t_us: float = 0.0

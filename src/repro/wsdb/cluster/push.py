@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SpectrumMapError
-from repro.wsdb.index import circle_intersects_cell
+from repro.wsdb.index import check_finite_positive, circle_intersects_cell
 from repro.wsdb.model import MicRegistration
 from repro.wsdb.service import DEFAULT_CACHE_RESOLUTION_M
 
@@ -78,10 +77,7 @@ class PushRegistry:
     def __init__(
         self, cache_resolution_m: float = DEFAULT_CACHE_RESOLUTION_M
     ):
-        if cache_resolution_m <= 0:
-            raise SpectrumMapError(
-                f"cache_resolution_m must be > 0, got {cache_resolution_m!r}"
-            )
+        check_finite_positive("cache_resolution_m", cache_resolution_m)
         self.cache_resolution_m = cache_resolution_m
         self._cell_of_device: dict[int, tuple[int, int]] = {}
         self._devices_in_cell: dict[tuple[int, int], set[int]] = {}

@@ -45,7 +45,6 @@ import random
 from typing import Any, Iterable, Iterator
 
 from repro.wsdb.citywide import DEFAULT_INTERFERENCE_RADIUS_M
-from repro.wsdb.cluster.frontend import RejectPolicy
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.mobility import (
     DEFAULT_SPEED_MPS,
@@ -133,7 +132,7 @@ def simulate_querystorm(
     tick_us: float = DEFAULT_TICK_US,
     rate_limit_qps: float | None = None,
     burst_size: float | None = None,
-    policy: str = RejectPolicy.name,
+    policy: str = "reject",
     interference_radius_m: float = DEFAULT_INTERFERENCE_RADIUS_M,
     engine: str = "scalar",
     storm_source: Iterable[tuple[float, float, float]] | None = None,

@@ -25,32 +25,33 @@ shard's cell response equals the unsharded database's, bit for bit.
 Mic registrations fan out: a new protection zone is routed to every
 shard whose territory it touches (each invalidates its own cached
 responses), and to the base metro so ground-truth compliance scoring
-sees it.  The router mirrors the database's query surface
-(``channels_at`` / ``channels_in_cell`` / ``channels_at_many`` /
-``spectrum_map_at`` / ``zone_affects`` / ``register_mic``), so the
-citywide helpers (``boot_aps``, ``displace_covered_aps``) run against a
-router unchanged.
+sees it.  The router is an
+:class:`~repro.wsdb.service.AvailabilityService`: it implements the one
+primitive, ``channels_in_cells`` (each run of consecutive cells owned by
+one shard is one call to that shard's own ``channels_in_cells``), and
+inherits every other query from the base class, so the citywide helpers
+(``boot_aps``, ``displace_covered_aps``) run against a router unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import groupby
 from typing import Sequence
 
 from repro.errors import SpectrumMapError
-from repro.spectrum.spectrum_map import SpectrumMap
 from repro.wsdb.index import circle_intersects_rect
 from repro.wsdb.model import Metro, MicRegistration
 from repro.wsdb.service import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_CACHE_RESOLUTION_M,
     DEFAULT_TTL_US,
+    AvailabilityService,
     WhiteSpaceDatabase,
     WsdbStats,
     check_cache_params,
     default_cell_m,
-    quantize_cell,
 )
 
 __all__ = ["ShardRouter", "ShardTerritory", "cells_per_side", "shard_grid"]
@@ -124,7 +125,7 @@ class ShardTerritory:
         )
 
 
-class ShardRouter:
+class ShardRouter(AvailabilityService):
     """K cell-aligned shards, each a :class:`WhiteSpaceDatabase`.
 
     Args:
@@ -230,12 +231,6 @@ class ShardRouter:
 
     # -- routing -------------------------------------------------------------
 
-    def cell_of(self, x_m: float, y_m: float) -> tuple[int, int]:
-        """The quantization cell containing (x, y) — the service's own
-        floor-division convention (negative cells for off-plane
-        coordinates), shared by every shard."""
-        return quantize_cell(x_m, y_m, self.cache_resolution_m)
-
     def _axis_group(self, cell: int, bounds: list[int]) -> int:
         # Clamp off-plane cells to the border groups; the border
         # territories extend to infinity on those sides, so the clamped
@@ -255,21 +250,7 @@ class ShardRouter:
         """The shard serving coordinate (x, y)."""
         return self.shard_of_cell(*self.cell_of(x_m, y_m))
 
-    # -- the database query surface ------------------------------------------
-
-    def channels_in_cell(
-        self, qx: int, qy: int, t_us: float = 0.0
-    ) -> tuple[int, ...]:
-        """The cell-granular response, served by the owning shard."""
-        return self.shards[self.shard_of_cell(qx, qy)].channels_in_cell(
-            qx, qy, t_us
-        )
-
-    def channels_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> tuple[int, ...]:
-        """Available channels at (x, y), served by the owning shard."""
-        return self.channels_in_cell(*self.cell_of(x_m, y_m), t_us)
+    # -- the one query primitive ---------------------------------------------
 
     def channels_in_cells(
         self,
@@ -278,60 +259,20 @@ class ShardRouter:
     ) -> list[tuple[int, ...]]:
         """Batch cell-granular responses: one per cell, in cell order.
 
-        Protocol parity with
-        :meth:`WhiteSpaceDatabase.channels_in_cells`: runs of
-        consecutive cells owned by one shard forward to that shard's
-        own batch path (one stats pass per run), so answers, cache
-        mutations, and counter totals are exactly those of a
-        :meth:`channels_in_cell` loop over the same sequence.
+        Each run of consecutive cells owned by one shard forwards to
+        that shard's own :meth:`WhiteSpaceDatabase.channels_in_cells`
+        (one stats pass per run), so answers, cache mutations, and
+        counter totals are exactly those of a one-cell-at-a-time loop
+        over the same sequence.
         """
         responses: list[tuple[int, ...]] = []
-        run: list[tuple[int, int]] = []
-        run_shard = -1
-        for cell in cells:
-            shard_id = self.shard_of_cell(*cell)
-            if shard_id != run_shard and run:
-                responses.extend(
-                    self.shards[run_shard].channels_in_cells(run, t_us)
-                )
-                run = []
-            run_shard = shard_id
-            run.append(cell)
-        if run:
+        for shard_id, run in groupby(
+            cells, key=lambda cell: self.shard_of_cell(*cell)
+        ):
             responses.extend(
-                self.shards[run_shard].channels_in_cells(run, t_us)
+                self.shards[shard_id].channels_in_cells(list(run), t_us)
             )
         return responses
-
-    def channels_at_many(
-        self,
-        points: Sequence[tuple[float, float]],
-        t_us: float = 0.0,
-    ) -> list[tuple[int, ...]]:
-        """Batch availability: one response per point, in point order.
-
-        Rides the :meth:`channels_in_cells` batch path.
-        """
-        cell_of = self.cell_of
-        return self.channels_in_cells(
-            [cell_of(x, y) for x, y in points], t_us
-        )
-
-    def spectrum_map_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> SpectrumMap:
-        """The availability response as an occupancy bit-vector."""
-        return SpectrumMap.from_free(
-            self.channels_at(x_m, y_m, t_us), self.metro.num_channels
-        )
-
-    def zone_affects(
-        self, registration: MicRegistration, x_m: float, y_m: float
-    ) -> bool:
-        """True when *registration* can change the response served at (x, y)."""
-        return self.shards[self.shard_of(x_m, y_m)].zone_affects(
-            registration, x_m, y_m
-        )
 
     # -- updates -------------------------------------------------------------
 

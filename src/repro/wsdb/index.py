@@ -24,9 +24,21 @@ from repro.errors import SpectrumMapError
 __all__ = [
     "GridIndex",
     "SpatialEntry",
+    "check_finite_positive",
     "circle_intersects_cell",
     "circle_intersects_rect",
 ]
+
+
+def check_finite_positive(name: str, value: float) -> None:
+    """Reject a size or duration that is not finite and > 0.
+
+    NaN passes a plain ``<= 0`` check and then fails the first cell or
+    bucket arithmetic (``int()`` of NaN); infinity overflows a cell
+    count or makes every cell or bucket the same one.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise SpectrumMapError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def circle_intersects_rect(
@@ -111,11 +123,8 @@ class GridIndex:
     """
 
     def __init__(self, extent_m: float, cell_m: float = 1_000.0):
-        if extent_m <= 0 or cell_m <= 0:
-            raise SpectrumMapError(
-                f"extent ({extent_m!r}) and cell size ({cell_m!r}) "
-                "must be > 0"
-            )
+        check_finite_positive("extent_m", extent_m)
+        check_finite_positive("cell_m", cell_m)
         self.extent_m = extent_m
         self.cell_m = cell_m
         self.cells_per_side = max(1, math.ceil(extent_m / cell_m))

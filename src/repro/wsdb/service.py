@@ -12,14 +12,18 @@ benchmarks can report cache behavior alongside throughput.
 responses: the FCC requires a device to re-query after moving ~100 m,
 so a response is computed for — and valid anywhere inside — a whole
 quantization square of ``cache_resolution_m`` on a side.
-:meth:`channels_in_cell` is that protocol's primitive: it computes the
-channels free throughout one square (a channel is denied when any
-active incumbent's protected contour intersects the square — the
-conservative area semantics a protection regime requires) and caches
-the response under the (cell, TTL bucket) key.  :meth:`channels_at` and
-:meth:`channels_at_many` are point-shaped conveniences that quantize
-the coordinate and ride the cell path, which is why dense or mobile
-deployments hit the cache instead of recomputing per coordinate.
+:meth:`~AvailabilityService.channels_in_cells` is that protocol's one
+primitive: for each requested cell it computes the channels free
+throughout the square (a channel is denied when any active incumbent's
+protected contour intersects the square — the conservative area
+semantics a protection regime requires) and caches the response under
+the (cell, TTL bucket) key.  :class:`AvailabilityService` derives every
+other query from it — ``channels_in_cell``, the point-shaped
+``channels_at`` / ``channels_at_many`` / ``spectrum_map_at`` (quantize,
+then ride the cell path, which is why dense or mobile deployments hit
+the cache instead of recomputing per coordinate) and ``zone_affects`` —
+so the database and the cluster's shard router each implement the
+batch lookup and nothing else.
 
 Because the computation itself is per-cell (not per first-querying
 coordinate), a response is a pure function of (metro state, cell,
@@ -51,13 +55,18 @@ baseline the roaming benchmark compares against.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.errors import SpectrumMapError
 from repro.spectrum.spectrum_map import SpectrumMap
-from repro.wsdb.index import GridIndex, circle_intersects_cell
+from repro.wsdb.index import (
+    GridIndex,
+    check_finite_positive,
+    circle_intersects_cell,
+)
 from repro.wsdb.model import Metro, MicRegistration
 
 __all__ = [
@@ -112,46 +121,112 @@ def ttl_bucket(t_us: float, ttl_us: float) -> int:
     return int(t_us // ttl_us)
 
 
-class AvailabilityService(Protocol):
+class AvailabilityService(ABC):
     """The query surface a white-space device (or AP driver) talks to.
 
-    Both :class:`WhiteSpaceDatabase` and the cluster's
-    :class:`~repro.wsdb.cluster.router.ShardRouter` satisfy this; the
-    citywide helpers (``assign_ap`` / ``boot_aps`` /
-    ``displace_covered_aps``) are written against it, which is what
-    lets one deployment driver run on either service tier.
+    One abstract primitive, :meth:`channels_in_cells`; every other
+    query is derived from it here, once, so a service tier implements
+    the batch lookup and nothing else.  Both :class:`WhiteSpaceDatabase`
+    and the cluster's :class:`~repro.wsdb.cluster.router.ShardRouter`
+    are services; the citywide helpers (``assign_ap`` / ``boot_aps`` /
+    ``displace_covered_aps``) are written against this class, which is
+    what lets one deployment driver run on either tier.
+
+    A subclass sets ``metro``, ``ttl_us`` and ``cache_resolution_m``.
     """
 
     metro: Metro
+    ttl_us: float
+    cache_resolution_m: float
+
+    @abstractmethod
+    def channels_in_cells(
+        self,
+        cells: Sequence[tuple[int, int]],
+        t_us: float = 0.0,
+    ) -> list[tuple[int, ...]]:
+        """Cell-granular responses: one per cell, in cell order.
+
+        The response for cell (qx, qy) lists the channels free
+        throughout that quantization square, valid for the remainder
+        of the TTL bucket containing *t_us*.  A batch is exactly a loop
+        of one-cell calls: same answers, same cache mutations, same
+        counter totals (duplicates included; each counts as one query).
+        """
+
+    def cell_of(self, x_m: float, y_m: float) -> tuple[int, int]:
+        """The quantization cell containing (x, y).
+
+        Floor division, so negative coordinates land in negative cells
+        (cell (-1, -1) spans ``[-resolution, 0)`` on each axis) rather
+        than sharing cell (0, 0) with the origin's square.
+        """
+        return quantize_cell(x_m, y_m, self.cache_resolution_m)
+
+    def channels_in_cell(
+        self, qx: int, qy: int, t_us: float = 0.0
+    ) -> tuple[int, ...]:
+        """The response for one cell: a one-cell :meth:`channels_in_cells`."""
+        return self.channels_in_cells([(qx, qy)], t_us)[0]
 
     def channels_at(
         self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> tuple[int, ...]: ...
+    ) -> tuple[int, ...]:
+        """Available (incumbent-free) UHF channels at (x, y) at *t_us*.
+
+        The response for the whole quantization square containing
+        (x, y).
+        """
+        return self.channels_in_cell(*self.cell_of(x_m, y_m), t_us)
+
+    def channels_at_many(
+        self,
+        points: Sequence[tuple[float, float]],
+        t_us: float = 0.0,
+    ) -> list[tuple[int, ...]]:
+        """Batch availability: one response per point, in point order.
+
+        Each point counts as one query; points sharing a quantization
+        cell share its cell response.
+        """
+        cell_of = self.cell_of
+        return self.channels_in_cells(
+            [cell_of(x, y) for x, y in points], t_us
+        )
 
     def spectrum_map_at(
         self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> SpectrumMap: ...
+    ) -> SpectrumMap:
+        """The availability response as an occupancy bit-vector."""
+        return SpectrumMap.from_free(
+            self.channels_at(x_m, y_m, t_us), self.metro.num_channels
+        )
 
     def zone_affects(
         self, registration: MicRegistration, x_m: float, y_m: float
-    ) -> bool: ...
+    ) -> bool:
+        """True when *registration* can change the response served at (x, y).
+
+        Cell-granular responses deny a channel anywhere in a cell the
+        zone touches, so protocol-level coverage checks (is this AP's
+        response invalidated by the new mic?) must use this, not point
+        containment — a device just outside the zone whose cell touches
+        it still receives the denying response.  The predicate is the
+        one cache invalidation uses.
+        """
+        return circle_intersects_cell(
+            registration.x_m,
+            registration.y_m,
+            registration.radius_m,
+            *self.cell_of(x_m, y_m),
+            self.cache_resolution_m,
+        )
 
 
 def check_cache_params(ttl_us: float, cache_resolution_m: float) -> None:
-    """Reject a response TTL or cell edge that is not finite and > 0.
-
-    NaN passes a plain ``<= 0`` check and then fails the first
-    query's cell or bucket arithmetic; infinity makes every cell or
-    bucket the same one.
-    """
-    for name, value in (
-        ("ttl_us", ttl_us),
-        ("cache_resolution_m", cache_resolution_m),
-    ):
-        if not (math.isfinite(value) and value > 0):
-            raise SpectrumMapError(
-                f"{name} must be finite and > 0, got {value!r}"
-            )
+    """Reject a response TTL or cell edge that is not finite and > 0."""
+    check_finite_positive("ttl_us", ttl_us)
+    check_finite_positive("cache_resolution_m", cache_resolution_m)
 
 
 def default_cell_m(metro: Metro) -> float:
@@ -225,7 +300,7 @@ class _CacheKey:
     bucket: int
 
 
-class WhiteSpaceDatabase:
+class WhiteSpaceDatabase(AvailabilityService):
     """A queryable, cacheable geolocation white-space database.
 
     Args:
@@ -273,24 +348,6 @@ class WhiteSpaceDatabase:
 
     # -- cache plumbing ------------------------------------------------------
 
-    def cell_of(self, x_m: float, y_m: float) -> tuple[int, int]:
-        """The quantization cell containing (x, y).
-
-        Floor division, so negative coordinates land in negative cells
-        (cell (-1, -1) spans ``[-resolution, 0)`` on each axis) rather
-        than sharing cell (0, 0) with the origin's square.
-        """
-        return quantize_cell(x_m, y_m, self.cache_resolution_m)
-
-    def _bucket_of(self, t_us: float) -> int:
-        return ttl_bucket(t_us, self.ttl_us)
-
-    def _lookup(self, key: _CacheKey) -> tuple[int, ...] | None:
-        channels = self._cache.get(key)
-        if channels is not None:
-            self._cache.move_to_end(key)
-        return channels
-
     def _store(self, key: _CacheKey, channels: tuple[int, ...]) -> None:
         if self.cache_capacity == 0:
             return
@@ -321,81 +378,54 @@ class WhiteSpaceDatabase:
 
     # -- queries -------------------------------------------------------------
 
-    def _compute_cell(self, qx: int, qy: int, t_us: float) -> tuple[int, ...]:
-        """Channels free throughout cell (qx, qy) at *t_us*.
+    def _compute_cell(
+        self, qx: int, qy: int, t_us: float
+    ) -> tuple[tuple[int, ...], int]:
+        """Channels free throughout cell (qx, qy) at *t_us*, and the
+        incumbents the index scanned to find them.
 
         Conservative area semantics: a channel is denied when any
         active incumbent's contour intersects the cell square, so the
         response is safe to act on from any coordinate inside the cell.
+        The scan count is a delta, not the index's running total: the
+        index is a public attribute, and direct use of it must not leak
+        into the service's own counters.
         """
         res = self.cache_resolution_m
         x0, y0 = qx * res, qy * res
-        scanned_before = self.index.candidates_scanned
-        occupied = set()
-        for entry in self.index.covering_rect(x0, y0, x0 + res, y0 + res):
-            if entry.active_at(t_us):
-                occupied.add(entry.uhf_index)
-        # Accumulate the delta (not the index's running total): the
-        # index is a public attribute, and direct use of it must not
-        # leak into the service's own counters.
-        self.stats.candidates_scanned += (
-            self.index.candidates_scanned - scanned_before
-        )
-        return tuple(
+        index = self.index
+        scanned_before = index.candidates_scanned
+        occupied = {
+            entry.uhf_index
+            for entry in index.covering_rect(x0, y0, x0 + res, y0 + res)
+            if entry.active_at(t_us)
+        }
+        channels = tuple(
             i for i in range(self.metro.num_channels) if i not in occupied
         )
-
-    def channels_in_cell(
-        self, qx: int, qy: int, t_us: float = 0.0
-    ) -> tuple[int, ...]:
-        """The cell-granular response: channels free throughout a cell.
-
-        This is the protocol primitive every query path rides.  The
-        response is valid anywhere inside quantization cell (qx, qy)
-        for the remainder of the TTL bucket containing *t_us*; it is
-        cached under that (cell, bucket) key.
-        """
-        self.stats.queries += 1
-        bucket = self._bucket_of(t_us)
-        self._purge_expired(bucket)
-        key = _CacheKey(qx=qx, qy=qy, bucket=bucket)
-        cached = self._lookup(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            self.last_outcomes = ((True, 0),)
-            return cached
-        self.stats.cache_misses += 1
-        scanned_before = self.stats.candidates_scanned
-        channels = self._compute_cell(qx, qy, t_us)
-        self._store(key, channels)
-        self.last_outcomes = (
-            (False, self.stats.candidates_scanned - scanned_before),
-        )
-        return channels
+        return channels, index.candidates_scanned - scanned_before
 
     def channels_in_cells(
         self,
         cells: Sequence[tuple[int, int]],
         t_us: float = 0.0,
     ) -> list[tuple[int, ...]]:
-        """Batch cell-granular responses: one per cell, in cell order.
+        """Cell-granular responses: one per cell, in cell order.
 
-        Semantically exactly a :meth:`channels_in_cell` loop — same
-        answers, same cache mutations, same counter totals for the same
-        cell sequence (duplicates included; each counts as one query) —
-        but with the per-call overhead paid once: the TTL purge runs
-        once (every cell in a batch shares *t_us*'s bucket), the stats
-        counters are accumulated locally and flushed in one pass, and
-        the attribute lookups are hoisted out of the loop.  This is the
-        vectorized roaming engine's entry point: a tick's worth of
-        re-checks arrives as one batch in client order, and N clients
-        re-checking in one cell cost one :meth:`_compute_cell`.
+        The one lookup loop every query path rides.  A cached (cell,
+        TTL bucket) response is a hit; a miss computes the cell off the
+        spatial index and stores it.  The TTL purge runs once per call
+        (every cell in a batch shares *t_us*'s bucket), so a batch is
+        exactly a loop of one-cell calls with the per-call overhead
+        paid once: N clients re-checking in one cell cost one
+        :meth:`_compute_cell`.
         """
-        self.stats.queries += len(cells)
-        bucket = self._bucket_of(t_us)
+        stats = self.stats
+        stats.queries += len(cells)
+        bucket = ttl_bucket(t_us, self.ttl_us)
         self._purge_expired(bucket)
         cache = self._cache
-        hits = misses = 0
+        hits = scanned = 0
         responses: list[tuple[int, ...]] = []
         outcomes: list[tuple[bool, int]] = []
         for qx, qy in cells:
@@ -406,86 +436,18 @@ class WhiteSpaceDatabase:
                 hits += 1
                 outcomes.append((True, 0))
             else:
-                misses += 1
-                scanned_before = self.stats.candidates_scanned
-                channels = self._compute_cell(qx, qy, t_us)
+                channels, cost = self._compute_cell(qx, qy, t_us)
+                scanned += cost
                 self._store(key, channels)
-                outcomes.append(
-                    (False, self.stats.candidates_scanned - scanned_before)
-                )
+                outcomes.append((False, cost))
             responses.append(channels)
-        self.stats.cache_hits += hits
-        self.stats.cache_misses += misses
+        stats.cache_hits += hits
+        stats.cache_misses += len(cells) - hits
+        stats.candidates_scanned += scanned
         self.last_outcomes = tuple(outcomes)
         return responses
 
-    def channels_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> tuple[int, ...]:
-        """Available (incumbent-free) UHF channels at (x, y) at *t_us*.
-
-        Served from the cell-granular path: the answer is the response
-        for the whole quantization square containing (x, y).
-        """
-        return self.channels_in_cell(*self.cell_of(x_m, y_m), t_us)
-
-    def channels_at_many(
-        self,
-        points: Sequence[tuple[float, float]],
-        t_us: float = 0.0,
-    ) -> list[tuple[int, ...]]:
-        """Batch availability: one response per point, in point order.
-
-        Each point counts as one query; points sharing a quantization
-        cell share its cached cell response.  Rides the
-        :meth:`channels_in_cells` batch path (one stats pass).
-        """
-        cell_of = self.cell_of
-        return self.channels_in_cells(
-            [cell_of(x, y) for x, y in points], t_us
-        )
-
-    def spectrum_map_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> SpectrumMap:
-        """The availability response as an occupancy bit-vector."""
-        return SpectrumMap.from_free(
-            self.channels_at(x_m, y_m, t_us), self.metro.num_channels
-        )
-
     # -- updates -------------------------------------------------------------
-
-    def _zone_touches_cell(
-        self, registration: MicRegistration, qx: int, qy: int
-    ) -> bool:
-        """True when the protection zone intersects quantization cell (qx, qy).
-
-        Uses the same geometry predicate as :meth:`_compute_cell` (via
-        ``GridIndex.covering_rect``), so invalidation drops exactly the
-        cells whose responses the new zone can change.
-        """
-        return circle_intersects_cell(
-            registration.x_m,
-            registration.y_m,
-            registration.radius_m,
-            qx,
-            qy,
-            self.cache_resolution_m,
-        )
-
-    def zone_affects(
-        self, registration: MicRegistration, x_m: float, y_m: float
-    ) -> bool:
-        """True when *registration* can change the response served at (x, y).
-
-        Cell-granular responses deny a channel anywhere in a cell the
-        zone touches, so protocol-level coverage checks (is this AP's
-        response invalidated by the new mic?) must use this, not point
-        containment — a device just outside the zone whose cell touches
-        it still receives the denying response.
-        """
-        qx, qy = self.cell_of(x_m, y_m)
-        return self._zone_touches_cell(registration, qx, qy)
 
     def _zone_touches_key_cell(
         self, registration: MicRegistration, key: _CacheKey
@@ -511,7 +473,14 @@ class WhiteSpaceDatabase:
             for session in registration.microphone.sessions
         ):
             return False
-        return self._zone_touches_cell(registration, key.qx, key.qy)
+        return circle_intersects_cell(
+            registration.x_m,
+            registration.y_m,
+            registration.radius_m,
+            key.qx,
+            key.qy,
+            self.cache_resolution_m,
+        )
 
     def register_mic(self, registration: MicRegistration) -> int:
         """Accept a mic registration; invalidate the affected responses.

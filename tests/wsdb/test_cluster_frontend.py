@@ -8,7 +8,6 @@ from repro.wsdb.cluster.frontend import (
     BatchFrontend,
     SHED_POLICIES,
     TokenBucket,
-    shed_policy,
 )
 from repro.wsdb.cluster.push import PushRegistry
 from repro.wsdb.cluster.router import ShardRouter
@@ -98,6 +97,47 @@ class TestBatching:
         assert frontend.stats.shard_batches == 4
         assert frontend.stats.coalesced == 0
 
+    def test_each_touched_shard_answers_in_one_batched_call(self):
+        router = dense_router(num_shards=4)
+        frontend = BatchFrontend(router)
+        # Warm one cell so the burst mixes cache hits and misses.
+        router.channels_at(500.0, 500.0, 0.0)
+        batched: list[tuple[int, list[tuple[int, int]]]] = []
+        single: list[int] = []
+        for shard_id, shard in enumerate(router.shards):
+
+            def channels_in_cells(cells, t_us=0.0, _db=shard, _id=shard_id):
+                batched.append((_id, list(cells)))
+                return WhiteSpaceDatabase.channels_in_cells(_db, cells, t_us)
+
+            def channels_in_cell(qx, qy, t_us=0.0, _db=shard, _id=shard_id):
+                single.append(_id)
+                return WhiteSpaceDatabase.channels_in_cell(_db, qx, qy, t_us)
+
+            shard.channels_in_cells = channels_in_cells
+            shard.channels_in_cell = channels_in_cell
+        # Several cells (and a repeat) in each of three quadrants of
+        # the 2x2 grid; the fourth shard is untouched.
+        burst = [
+            (500.0, 500.0), (650.0, 500.0), (500.0, 500.0), (800.0, 900.0),
+            (3_500.0, 500.0), (3_650.0, 700.0),
+            (500.0, 3_500.0), (500.0, 3_500.0),
+        ]
+        frontend.query_batch(burst, 0.0)
+        assert single == []
+        assert [shard_id for shard_id, _ in batched] == [0, 1, 2]
+        assert frontend.stats.shard_batches == len(batched)
+        looked_up = set()
+        for shard_id, cells in batched:
+            assert len(set(cells)) == len(cells)
+            outcomes = router.shards[shard_id].last_outcomes
+            assert len(outcomes) == len(cells)
+            for cell, outcome in zip(cells, outcomes):
+                assert frontend.last_lookups[cell] == (shard_id, *outcome)
+                looked_up.add(cell)
+        assert set(frontend.last_lookups) == looked_up
+        assert frontend.last_lookups[router.cell_of(500.0, 500.0)][1] is True
+
     def test_empty_batch_is_free(self):
         frontend = BatchFrontend(dense_router())
         assert frontend.query_batch([], 0.0) == []
@@ -157,8 +197,6 @@ class TestShedding:
         assert b is None and c is None
 
     def test_unknown_policy_raises(self):
-        with pytest.raises(SimulationError):
-            shed_policy("drop-table")
         with pytest.raises(SimulationError):
             BatchFrontend(dense_router(), policy="nope")
         assert set(SHED_POLICIES) == {"reject", "serve-stale"}

@@ -39,6 +39,13 @@ class TestSubscriptions:
         with pytest.raises(SpectrumMapError):
             PushRegistry(0.0)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    def test_non_finite_resolution_raises(self, value):
+        # NaN slips past a plain "<= 0" check; the rule is the
+        # service's own finite-and-positive one.
+        with pytest.raises(SpectrumMapError, match="finite"):
+            PushRegistry(value)
+
 
 class TestNotification:
     def test_zone_notifies_exactly_the_touched_cells(self):

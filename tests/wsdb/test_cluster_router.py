@@ -115,8 +115,15 @@ class TestResponseEquality:
             )
             for _ in range(600)
         ]
+        # Far off-plane points on every side and corner, including
+        # exact multiples of the cell edge.
+        points += [
+            (sx * extent, sy * extent)
+            for sx in (-1.5, -0.005, 0.5, 1.0, 2.5)
+            for sy in (-1.5, -0.005, 0.5, 1.0, 2.5)
+        ]
         expected = single.channels_at_many(points, t_us=3.0)
-        for num_shards in (1, 3, 4, 16):
+        for num_shards in (1, 3, 4, 6, 16):
             router = ShardRouter(spread_metro(), num_shards=num_shards)
             assert router.channels_at_many(points, t_us=3.0) == expected
 

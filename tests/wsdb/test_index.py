@@ -52,6 +52,22 @@ class TestGridMechanics:
         with pytest.raises(SpectrumMapError):
             GridIndex(extent_m=100.0, cell_m=-1.0)
 
+    @pytest.mark.parametrize(
+        "extent_m, cell_m",
+        (
+            (100.0, float("nan")),
+            (float("nan"), 10.0),
+            (float("inf"), 10.0),
+            (100.0, float("inf")),
+        ),
+    )
+    def test_non_finite_geometry_raises_typed(self, extent_m, cell_m):
+        # Without the check a NaN cell edge fails in int() with a bare
+        # ValueError and an infinite extent in ceil() with an
+        # OverflowError; both must be rejected up front.
+        with pytest.raises(SpectrumMapError, match="finite"):
+            GridIndex(extent_m=extent_m, cell_m=cell_m)
+
 
 class TestBatchQueryProof:
     """The acceptance-gate test: 10k points, 100+ stations, no full scan."""
