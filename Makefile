@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: check test fast bench bench-smoke bench-trend examples perfbench-check trace-diff profile lint detlint detlint-report loc
+.PHONY: check test fast bench bench-smoke bench-trend examples perfbench-check perf-ab trace-diff profile lint detlint detlint-report loc
 
 ## The tier-1 gate: full unit suite + lint + determinism linter.
 check: test lint detlint
@@ -76,6 +76,17 @@ perfbench-check:
 		python3 perfbench/run.py --workload $$w --seed 0 --seconds 0 \
 		    --trace 0 || exit 1; \
 	done
+
+## Same-host A/B of one perfbench workload against a git ref: PAIRS
+## alternating base/change runs, median and IQR per side, change wins
+## per metric; exit 1 when a seed's report digest differs.
+##   make perf-ab BASE=HEAD~1 WORKLOAD=whitefi PAIRS=10
+BASE ?= HEAD
+WORKLOAD ?= whitefi
+PAIRS ?= 10
+perf-ab:
+	python3 scripts/perf_ab.py --base $(BASE) --workload $(WORKLOAD) \
+	    --pairs $(PAIRS)
 
 ## Compare the last two comparable BENCH_scale.json entries; fails on a
 ## >20% clients/sec regression (no-op with nothing to compare).

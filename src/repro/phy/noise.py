@@ -48,9 +48,12 @@ def awgn_amplitude(
     if rng is None:
         rng = np.random.default_rng(constants.FALLBACK_RNG_SEED)
     sigma = rms / np.sqrt(2.0)
-    return rng.normal(0.0, sigma, num_samples) + 1j * rng.normal(
-        0.0, sigma, num_samples
-    )
+    # One complex array filled in place: the same two draws, in the same
+    # order, as ``normal() + 1j * normal()``, without the temporaries.
+    out = np.empty(num_samples, dtype=complex)
+    out.real = rng.normal(0.0, sigma, num_samples)
+    out.imag = rng.normal(0.0, sigma, num_samples)
+    return out
 
 
 def snr_db(signal_rms: float, noise_rms: float) -> float:

@@ -127,7 +127,9 @@ def synthesize_bursts(
             continue
         length = last - first
         sigma = burst.amplitude_rms / np.sqrt(2.0)
-        signal = rng.normal(0.0, sigma, length) + 1j * rng.normal(0.0, sigma, length)
+        signal = np.empty(length, dtype=complex)
+        signal.real = rng.normal(0.0, sigma, length)
+        signal.imag = rng.normal(0.0, sigma, length)
         if burst.ramp_fraction > 0.0 and burst.ramp_level != 1.0:
             ramp_samples = int(round(length * burst.ramp_fraction))
             if ramp_samples > 0:

@@ -36,9 +36,6 @@ class Event:
         """Prevent the event from firing (no-op if already fired)."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_us, self.seq) < (other.time_us, other.seq)
-
 
 class Engine:
     """The event loop.
@@ -50,7 +47,9 @@ class Engine:
 
     def __init__(self) -> None:
         self.now_us: float = 0.0
-        self._queue: list[Event] = []
+        # Heap of (time_us, seq, event): seq is unique, so tuple order
+        # never reaches the event and ties fire in scheduling order.
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_fired = 0
 
@@ -74,8 +73,9 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time_us} before now ({self.now_us})"
             )
-        event = Event(time_us, next(self._seq), callback, args)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time_us, seq, callback, args)
+        heapq.heappush(self._queue, (time_us, seq, event))
         return event
 
     def run_until(self, end_us: float) -> None:
@@ -84,11 +84,13 @@ class Engine:
         The clock is left exactly at ``end_us``; events scheduled at
         ``end_us`` do fire.
         """
-        while self._queue and self._queue[0].time_us <= end_us:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        heappop = heapq.heappop
+        while queue and queue[0][0] <= end_us:
+            time_us, _, event = heappop(queue)
             if event.cancelled:
                 continue
-            self.now_us = event.time_us
+            self.now_us = time_us
             self._events_fired += 1
             event.callback(*event.args)
         self.now_us = max(self.now_us, end_us)
@@ -97,10 +99,10 @@ class Engine:
         """Drain the queue completely (bounded by *max_events*)."""
         fired = 0
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time_us, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self.now_us = event.time_us
+            self.now_us = time_us
             self._events_fired += 1
             event.callback(*event.args)
             fired += 1

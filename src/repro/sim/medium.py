@@ -3,7 +3,9 @@
 Implements the paper's QualNet carrier-sense modification: a node
 spanning multiple UHF channels senses busy if *any* spanned channel
 carries energy, and two transmissions collide when they overlap in both
-time and spanned channels.  All nodes share one collision domain.
+time and spanned channels.  All nodes share one collision domain; its
+transmissions and busy/idle listeners are indexed per UHF channel, so a
+query, collision check or edge visits only the channels of its span.
 
 The medium also keeps a per-channel busy-time integral (the union of
 transmission intervals per channel), which is what an ideal SIFT-based
@@ -13,8 +15,10 @@ channel for the ``B_c`` estimate.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import SimulationError
@@ -56,11 +60,6 @@ class Transmission:
     corrupted: bool = False
     on_complete: Callable[["Transmission"], None] | None = None
 
-    def overlaps_span(self, span: Iterable[int]) -> bool:
-        """True when *span* shares any UHF channel with this transmission."""
-        mine = set(self.span)
-        return any(c in mine for c in span)
-
 
 #: Default PSD ratio governing cross-width carrier sense and capture.
 #: A transmission of width ``W_tx`` concentrates its (fixed) transmit
@@ -70,6 +69,14 @@ class Transmission:
 #: (PSD 6 dB down, below the energy-detect threshold), and a 5 MHz
 #: frame survives (captures over) an overlapping 20 MHz transmission.
 DEFAULT_PSD_RATIO = 4.0
+
+
+def _merged(table: list[dict], span: Iterable[int]) -> dict:
+    """The union of the per-channel dicts of *span*, each key once."""
+    merged: dict = {}
+    for c in span:
+        merged.update(table[c])
+    return merged
 
 
 class Medium:
@@ -106,16 +113,17 @@ class Medium:
         self.num_channels = num_channels
         self.sensing = sensing
         self.psd_ratio = psd_ratio
-        self.active: list[Transmission] = []
-        # Per-channel active-transmission counts and busy-time integrals.
-        self._active_count = [0] * num_channels
+        # Per channel: the transmissions on it (id() -> tx), its busy-time
+        # integral, and its edge listeners in subscription order
+        # (node_id -> (seq, (span, observer width, callback))).
+        self._active_on: list[dict] = [{} for _ in range(num_channels)]
         self._busy_since = [0.0] * num_channels
         self._busy_integral = [0.0] * num_channels
-        # Nodes wanting busy/idle edge notifications:
-        # node_id -> (span, observer width, callback).
-        self._listeners: dict[
-            str, tuple[tuple[int, ...], float, Callable[[bool], None]]
-        ] = {}
+        self._listening_on: list[dict] = [{} for _ in range(num_channels)]
+        # node_id -> (seq, span).  A re-subscribing node keeps its seq, so
+        # edges go out in the order of one dict of subscriptions.
+        self._subscriptions: dict[str, tuple[int, tuple[int, ...]]] = {}
+        self._subscription_seq = itertools.count()
         # AP registry: bss_id -> span, for B_c ground truth.
         self._ap_spans: dict[str, tuple[int, ...]] = {}
         # Per-(bss_id, channel) reservation-time integral for sensor
@@ -149,30 +157,13 @@ class Medium:
         view — SIFT's threshold sits far below carrier-sense levels).
         """
         if observer_width_mhz is None or self.sensing == "perfect":
-            return any(self._active_count[c] > 0 for c in span)
-        span_set = set(span)
-        return any(
-            tx.overlaps_span(span_set)
-            and self.sensable(tx.width_mhz, observer_width_mhz)
-            for tx in self.active
-        )
-
-    def busy_until(
-        self, span: Iterable[int], observer_width_mhz: float | None = None
-    ) -> float:
-        """Latest end time of sensable transmissions intersecting *span*.
-
-        Returns the current time when the span is (sensably) idle.
-        """
-        span_set = set(span)
-        end = self.engine.now_us
-        for tx in self.active:
-            if tx.overlaps_span(span_set) and (
-                observer_width_mhz is None
-                or self.sensable(tx.width_mhz, observer_width_mhz)
-            ):
-                end = max(end, tx.end_us)
-        return end
+            return any(self._active_on[c] for c in span)
+        limit = observer_width_mhz * self.psd_ratio
+        for c in span:
+            for tx in self._active_on[c].values():
+                if tx.width_mhz < limit:
+                    return True
+        return False
 
     def latest_start_on(
         self, span: Iterable[int], observer_width_mhz: float | None = None
@@ -185,15 +176,19 @@ class Medium:
         expired transmits into it (a collision), exactly as in slotted
         DCF analysis.
         """
-        span_set = set(span)
         latest = float("-inf")
-        for tx in self.active:
-            if tx.overlaps_span(span_set) and (
+        for tx in _merged(self._active_on, span).values():
+            if (
                 observer_width_mhz is None
                 or self.sensable(tx.width_mhz, observer_width_mhz)
             ):
                 latest = max(latest, tx.start_us)
         return latest
+
+    @property
+    def active(self) -> list[Transmission]:
+        """Every transmission on the air, once each (diagnostics)."""
+        return list(_merged(self._active_on, range(self.num_channels)).values())
 
     # -- listeners -------------------------------------------------------------
 
@@ -209,21 +204,28 @@ class Medium:
         The callback receives True on a busy edge (the span just went
         from idle to carrying sensable energy) and False on an idle edge.
         Edges from transmissions the observer cannot sense (PSD below its
-        detector) are filtered out.
+        detector) are filtered out.  Re-subscribing a registered node
+        replaces its registration but keeps its place in the edge order.
         """
-        self._listeners[node_id] = (span, observer_width_mhz, callback)
+        old = self._subscriptions.get(node_id)
+        seq = next(self._subscription_seq) if old is None else old[0]
+        self.unsubscribe(node_id)
+        for c in span:
+            self._listening_on[c][node_id] = (seq, (span, observer_width_mhz, callback))
+        self._subscriptions[node_id] = (seq, span)
 
     def unsubscribe(self, node_id: str) -> None:
         """Remove a listener registration (no-op when absent)."""
-        self._listeners.pop(node_id, None)
+        for c in self._subscriptions.pop(node_id, (None, ()))[1]:
+            self._listening_on[c].pop(node_id, None)
 
     def _notify(
         self, changed_span: tuple[int, ...], busy: bool, tx_width_mhz: float
     ) -> None:
-        changed = set(changed_span)
-        for span, width, callback in list(self._listeners.values()):
-            if not any(c in changed for c in span):
-                continue
+        # A snapshot in subscription order, taken before any callback can
+        # (un)subscribe.
+        listeners = _merged(self._listening_on, changed_span).values()
+        for _, (span, width, callback) in sorted(listeners, key=itemgetter(0)):
             if not self.sensable(tx_width_mhz, width):
                 continue
             # An edge on a subset of a listener's span only matters if
@@ -289,32 +291,29 @@ class Medium:
             data_end_us=now + data_duration_us,
             frame=frame,
         )
+        active_on = self._active_on
         # Collision check against concurrent transmissions.
-        for other in self.active:
-            if other.overlaps_span(tx.span):
-                self._mark_collision(tx, other)
-        newly_busy = [c for c in tx.span if self._active_count[c] == 0]
+        for other in _merged(active_on, tx.span).values():
+            self._mark_collision(tx, other)
+        newly_busy = tuple(c for c in tx.span if not active_on[c])
         for c in tx.span:
-            if self._active_count[c] == 0:
+            if not active_on[c]:
                 self._busy_since[c] = now
-            self._active_count[c] += 1
-        self.active.append(tx)
+            active_on[c][id(tx)] = tx
         if newly_busy:
-            self._notify(tuple(newly_busy), True, tx.width_mhz)
+            self._notify(newly_busy, True, tx.width_mhz)
         self.engine.schedule(duration_us, self._end, tx)
         return tx
 
     def _end(self, tx: Transmission) -> None:
         now = self.engine.now_us
-        self.active.remove(tx)
         newly_idle = []
         for c in tx.span:
-            self._active_count[c] -= 1
-            if self._active_count[c] == 0:
+            on = self._active_on[c]
+            del on[id(tx)]
+            if not on:
                 self._busy_integral[c] += now - self._busy_since[c]
                 newly_idle.append(c)
-            elif self._active_count[c] < 0:
-                raise SimulationError(f"negative active count on channel {c}")
         duration = tx.end_us - tx.start_us
         for c in tx.span:
             key = (tx.bss_id, c)
@@ -331,7 +330,7 @@ class Medium:
     def busy_integral_us(self, uhf_index: int) -> float:
         """Cumulative busy time on a channel, including any open interval."""
         total = self._busy_integral[uhf_index]
-        if self._active_count[uhf_index] > 0:
+        if self._active_on[uhf_index]:
             total += self.engine.now_us - self._busy_since[uhf_index]
         return total
 
